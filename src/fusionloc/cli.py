@@ -207,6 +207,8 @@ def _load_supplied_subsystems(path: str) -> dict:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read subsystem file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError("subsystem file must map instance ids to lists of specs")
     out: dict[str, list[tuple[int, str]]] = {}
     for instance_id, entries in raw.items():
         name = instance_id.split("@")[0]
@@ -215,8 +217,17 @@ def _load_supplied_subsystems(path: str) -> dict:
             raise ParseError("subsystem input needs a permutation group")
         degree, perms = G.perm_rep
         index = {perm: i for i, perm in enumerate(perms)}
+        if not isinstance(entries, list):
+            raise ParseError(f"{instance_id}: expected a list of subsystem specs")
         lst = []
         for spec in entries:
+            if not isinstance(spec, dict) or not isinstance(spec.get("normal"), list):
+                raise ParseError(f"{instance_id}: each spec needs a 'normal' generator list")
+            if spec.get("kind") not in ("p-power", "p-prime"):
+                raise ParseError(
+                    f"{instance_id}: 'kind' must be 'p-power' or 'p-prime', "
+                    f"got {spec.get('kind')!r}"
+                )
             gens = 0
             for cycles in spec["normal"]:
                 perm = perm_from_cycles(cycles, degree)

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotSaturated, NotSylow, VerificationFailed
-from .fusion import FusionSystem, fusion_from_group
+from .fusion import FusionSystem, fusion_from_group, maps_equal_under_index_map
 from .groups import (
     FiniteGroup,
     RealizedSubgroup,
     Subgroup,
     bits,
     cores,
+    o_p_prime_mask,
     p_part,
     popcount,
 )
@@ -35,6 +36,9 @@ from .locality import (
     locality_from_group,
     quotient,
 )
+
+# seed of the sample of class members whose Delta flags delta_sets recomputes
+SPOT_CHECK_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ def delta_sets(
     p: int,
     s_real: Optional[RealizedSubgroup] = None,
     fusion: Optional[FusionSystem] = None,
-    spot_check_seed: int = 7,
 ) -> DeltaSets:
     """Compute Delta, Delta* and the subcentric set, with invariant checks.
 
@@ -94,7 +97,7 @@ def delta_sets(
             if almost:
                 delta_star.add(P)
     # spot check: direct recomputation on random members
-    rng = random.Random(spot_check_seed)
+    rng = random.Random(SPOT_CHECK_SEED)
     members = [P for data in F.classes() for P in data.members if P != 1]
     for P in rng.sample(members, min(5, len(members))):
         char_p, almost = flags(P)
@@ -130,7 +133,12 @@ def nontrivial(masks) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class ThetaData:
-    """The Delta* locality, its Theta partial normal subset, and the quotient."""
+    """The Delta* locality, its Theta partial normal subset, and the quotient.
+
+    ``object_kernels`` maps each object P to Theta(N_G(P)) as carrier ids of
+    the locality (ids of elements outside the carrier are left out and
+    reported in ``findings``).
+    """
 
     deltas: DeltaSets
     locality: Locality
@@ -138,28 +146,11 @@ class ThetaData:
     quotient_data: Optional[QuotientData]
     quotient: Locality
     findings: tuple[str, ...]
+    object_kernels: dict[int, frozenset[int]]
 
     @property
     def theta_trivial(self) -> bool:
         return self.theta.members == frozenset({0})
-
-    def object_kernel_ids(self, mask: int) -> frozenset[int]:
-        """Theta(N_G(P)) for an object P, as carrier ids of the locality."""
-        L = self.locality
-        G = self.deltas.group
-        real = self.deltas.s_real
-        parent = real.mask_to_parent(mask)
-        nreal = G.as_group(G.normalizer_mask(parent))
-        theta_parent = nreal.mask_to_parent(
-            cores(nreal.group, self.deltas.p).o_p_prime.mask
-        )
-        ids = []
-        for x in bits(theta_parent):
-            pos = L.source_ids.index(x) if x in L.source_ids else None
-            if pos is None:
-                raise VerificationFailed("Theta(N_G(P)) leaves the carrier")
-            ids.append(pos)
-        return frozenset(ids)
 
 
 def theta_quotient(
@@ -181,29 +172,23 @@ def theta_quotient(
     L = locality_from_group(G, S, gamma, p, label=f"L*({G.label})", s_real=real)
     findings: list[str] = []
 
-    # Theta = union of the p'-cores of the object normalizers
-    theta_parent_ids: set[int] = set()
-    for data in ds.fusion.classes():
-        P = data.representative
-        if P not in gamma:
-            continue
-        for member in data.members:
-            parent = real.mask_to_parent(member)
-            nreal = G.as_group(G.normalizer_mask(parent))
-            theta_mask = cores(nreal.group, p).o_p_prime.mask
-            theta_parent_ids.update(
-                nreal.to_parent[i] for i in bits(theta_mask)
-            )
+    # Theta(N_G(P)) per object, as elements of G
+    object_theta: dict[int, frozenset[int]] = {}
+    for P in sorted(gamma):
+        nreal = G.as_group(G.normalizer_mask(real.mask_to_parent(P)))
+        theta_mask = nreal.mask_to_parent(o_p_prime_mask(nreal.group, p))
+        object_theta[P] = frozenset(bits(theta_mask))
     src_pos = {g: i for i, g in enumerate(L.source_ids)}
-    theta_ids = set()
-    for g in sorted(theta_parent_ids):
-        pos = src_pos.get(g)
-        if pos is None:
-            findings.append(f"Theta element {G.element_label(g)} outside carrier")
-            continue
-        theta_ids.add(pos)
-    theta_ids.add(0)
-    theta = PartialNormalSubgroup(locality=L, members=frozenset(theta_ids))
+    object_kernels = {
+        P: frozenset(src_pos[g] for g in ts if g in src_pos)
+        for P, ts in object_theta.items()
+    }
+    # Theta = union of the p'-cores of the object normalizers
+    for g in sorted(frozenset().union(*object_theta.values()) - src_pos.keys()):
+        findings.append(f"Theta element {G.element_label(g)} outside carrier")
+    theta = PartialNormalSubgroup(
+        locality=L, members=frozenset({0}).union(*object_kernels.values())
+    )
 
     if not is_partial_normal(L, theta.members):
         findings.append("Theta is not a partial normal subgroup")
@@ -219,28 +204,14 @@ def theta_quotient(
         quot = qd.quotient
         # per-object kernels: preimage of N_{L/Theta}(P-bar) inside N_L(P)
         for P in sorted(gamma):
-            ker_expected = set()
-            parent = real.mask_to_parent(P)
-            nreal = G.as_group(G.normalizer_mask(parent))
-            tmask = cores(nreal.group, p).o_p_prime.mask
-            for i in bits(tmask):
-                g = nreal.to_parent[i]
-                pos = src_pos.get(g)
-                if pos is None:
-                    findings.append(
-                        f"object kernel outside carrier at {real.group.subgroup_label(P)}"
-                    )
-                    break
-                ker_expected.add(pos)
-            else:
-                norm_ids = set(L.normalizer_ids(P))
-                ker_actual = {
-                    f for f in norm_ids if f in theta.members
-                }
-                if ker_actual != ker_expected:
-                    findings.append(
-                        f"kernel mismatch at object {real.group.subgroup_label(P)}"
-                    )
+            if not object_theta[P] <= src_pos.keys():
+                findings.append(
+                    f"object kernel outside carrier at {real.group.subgroup_label(P)}"
+                )
+            elif set(L.normalizer_ids(P)) & theta.members != object_kernels[P]:
+                findings.append(
+                    f"kernel mismatch at object {real.group.subgroup_label(P)}"
+                )
     if not quot.is_objective_char_p():
         findings.append("quotient not of objective characteristic p")
     if not quot.is_linking_locality():
@@ -250,15 +221,8 @@ def theta_quotient(
     if qd is None:
         if FQ.maps_from != ds.fusion.maps_from:
             findings.append("fusion system mismatch")
-    else:
-        idx = []
-        spos = {x: i for i, x in enumerate(quot.s_ids)}
-        for i in range(len(L.s_ids)):
-            idx.append(spos[qd.projection[L.s_ids[i]]])
-        from .fusion import maps_equal_under_index_map
-
-        if not maps_equal_under_index_map(ds.fusion, FQ, idx):
-            findings.append("fusion system mismatch after Theta quotient")
+    elif not maps_equal_under_index_map(ds.fusion, FQ, qd.s_index):
+        findings.append("fusion system mismatch after Theta quotient")
     return ThetaData(
         deltas=ds,
         locality=L,
@@ -266,6 +230,7 @@ def theta_quotient(
         quotient_data=qd,
         quotient=quot,
         findings=tuple(findings),
+        object_kernels=object_kernels,
     )
 
 

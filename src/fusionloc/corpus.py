@@ -16,6 +16,7 @@ from .groups import (
     RealizedSubgroup,
     Subgroup,
     group_from_permutations,
+    load_group_file,
     p_part,
     sylow_p,
 )
@@ -96,8 +97,6 @@ class Instance:
 def build_instance(entry: CorpusEntry, group: Optional[FiniteGroup] = None) -> Instance:
     if group is None:
         if entry.source != "builtin":
-            from .groups import load_group_file
-
             group = load_group_file(entry.source)
         else:
             group = builtin_group(entry.name)

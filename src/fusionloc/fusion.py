@@ -35,12 +35,14 @@ from .groups import (
     RealizedSubgroup,
     Subgroup,
     bits,
+    cores,
     group_from_elements,
     is_prime,
     o_p_mask,
     p_part,
     popcount,
     quotient_group,
+    translate_mask,
 )
 
 Morphism = tuple  # image tuple aligned with the sorted elements of the domain
@@ -262,9 +264,6 @@ class Subsystem:
     fusion: "FusionSystem"
     embedding_ok: bool
 
-    def centralizer_in_s(self) -> int:
-        return centralizer_in_S_of_subsystem(self.parent, self.fusion)
-
 
 @dataclass(frozen=True)
 class CentralQuotient:
@@ -274,20 +273,8 @@ class CentralQuotient:
     quotient_group: QuotientGroup
 
     def image_of_mask(self, mask: int) -> int:
-        src = self.source.base
-        out = 0
-        full = src.closure_mask(mask | self.z_mask)
-        for x in src.mask_elements(full):
-            out |= 1 << self.quotient_group.projection[x]
-        return out
-
-    def preimage_of_mask(self, mask: int) -> int:
-        src = self.source.base
-        out = 0
-        for x in range(src.order):
-            if (mask >> self.quotient_group.projection[x]) & 1:
-                out |= 1 << x
-        return out
+        full = self.source.base.closure_mask(mask | self.z_mask)
+        return translate_mask(full, self.quotient_group.projection)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +315,6 @@ class FusionSystem:
 
     def subgroups(self) -> tuple[int, ...]:
         return self.base.subgroups_of(self.carrier)
-
-    def morphisms_from(self, mask: int) -> frozenset:
-        return self.maps_from[mask]
 
     def img(self, dom: int, images: Morphism) -> int:
         key = (dom, images)
@@ -414,9 +398,6 @@ class FusionSystem:
     def is_fully_normalized(self, P: int) -> bool:
         return P in self.class_of(P).fully_normalized_members
 
-    def is_fully_centralized(self, P: int) -> bool:
-        return P in self.class_of(P).fully_centralized_members
-
     # -- saturation ------------------------------------------------------------
 
     def _fully_automized(self, P: int) -> bool:
@@ -464,10 +445,6 @@ class FusionSystem:
                 if _find_extension(self, n_phi, Q, phi) is None:
                     return False
         return True
-
-    def saturation_witness(self) -> Optional[str]:
-        self.is_saturated()
-        return self._saturation_witness
 
     def check_saturation_alternative(self) -> bool:
         """Cross-check with the Sylow + extension axiom formulation."""
@@ -548,20 +525,7 @@ class FusionSystem:
 
     def is_central_mask(self, Q: int) -> bool:
         zt = self.base.centralizer_mask(self.carrier) & self.carrier
-        if Q & zt != Q:
-            return False
-        base = self.base
-        idq = identity_map(base, Q)
-        for A in self.subgroups():
-            AQ = base.closure_mask(A | Q)
-            for phi in self.maps_from[A]:
-                if not any(
-                    restrict_map(base, AQ, psi, A) == phi
-                    and restrict_map(base, AQ, psi, Q) == idq
-                    for psi in self.maps_from[AQ]
-                ):
-                    return False
-        return True
+        return Q & zt == Q and subsystem_centralized_by(self, self, Q)
 
     def center_mask(self) -> int:
         if self._center is None:
@@ -665,14 +629,6 @@ class FusionSystem:
     def classify(self, Q: int) -> Classification:
         return self.classification_table()[Q]
 
-    def subcentric_masks(self, include_trivial: bool = True) -> tuple[int, ...]:
-        table = self.classification_table()
-        return tuple(
-            Q
-            for Q in self.subgroups()
-            if table[Q].subcentric and (include_trivial or Q != 1)
-        )
-
     # -- six-way equivalence -------------------------------------------------------
 
     def subcentric_equivalences(self, Q: int) -> SixWay:
@@ -705,8 +661,7 @@ class FusionSystem:
     def transported_k(self, Q: int, K: frozenset, phi: Morphism) -> frozenset:
         """K^phi over the image of phi."""
         base = self.base
-        target = image_mask(phi)
-        inv_dom, inv_images = invert_iso(base, Q, phi)
+        _, inv_images = invert_iso(base, Q, phi)
         out = set()
         for chi in K:
             comp = compose_maps(base, inv_images, Q, chi)
@@ -848,27 +803,34 @@ def fusion_from_group(
         raise NotSylow(f"{S.label()} is not a Sylow {p}-subgroup of {G.label}")
     real = s_real if s_real is not None else G.as_group(S.mask)
     base = real.group
-    maps: dict[int, set] = {m: set() for m in base.subgroups_of(base.full_mask)}
-    parent_elems = real.to_parent
-    for g in range(G.order):
-        partial = {}
-        dom_mask = 0
-        for i, x in enumerate(parent_elems):
-            y = G.conj(x, g)
-            j = real.index_of.get(y)
-            if j is not None:
-                partial[i] = j
-                dom_mask |= 1 << i
-        for P in base.subgroups_of(dom_mask):
-            maps[P].add(tuple(partial[i] for i in base.mask_elements(P)))
     return FusionSystem(
         base,
         base.full_mask,
         p,
-        {m: frozenset(s) for m, s in maps.items()},
+        _conjugation_maps(G, real, base.full_mask, range(G.order)),
         GroupProvenance(group=G, s_real=real),
         label=f"F_{S.label()}({G.label})",
     )
+
+
+def _conjugation_maps(
+    G: FiniteGroup, real: RealizedSubgroup, t_mask: int, conjugators: Iterable[int]
+) -> dict[int, frozenset]:
+    """Maps induced on the subgroups of T (a mask over the realized S) by
+    conjugation with each element of ``conjugators``, where defined inside T."""
+    base = real.group
+    maps: dict[int, set] = {m: set() for m in base.subgroups_of(t_mask)}
+    for g in conjugators:
+        partial = {}
+        dom_mask = 0
+        for i in base.mask_elements(t_mask):
+            j = real.index_of.get(G.conj(real.to_parent[i], g))
+            if j is not None and (t_mask >> j) & 1:
+                partial[i] = j
+                dom_mask |= 1 << i
+        for P in base.subgroups_of(dom_mask):
+            maps[P].add(tuple(partial[i] for i in base.mask_elements(P)))
+    return {m: frozenset(s) for m, s in maps.items()}
 
 
 def abstract_fusion(
@@ -914,8 +876,6 @@ def is_constrained(F: FusionSystem) -> ConstrainedResult:
     constrained = F.base.centralizer_mask(op) & F.carrier & ~op == 0
     model = None
     if constrained and isinstance(F.provenance, GroupProvenance):
-        from .groups import cores  # local import to avoid cycle noise
-
         if cores(F.provenance.group, F.p).is_char_p:
             model = F.provenance.group
     return ConstrainedResult(constrained=constrained, o_p=op, model=model)
@@ -935,9 +895,7 @@ def quotient_mod_central(F: FusionSystem, Z: int) -> CentralQuotient:
     for A in F.subgroups():
         if A & Z != Z:
             continue
-        a_img = 0
-        for x in base.mask_elements(A):
-            a_img |= 1 << proj[x]
+        a_img = translate_mask(A, proj)
         lifts: dict[int, int] = {}
         for x in base.mask_elements(A):
             lifts.setdefault(proj[x], x)
@@ -976,25 +934,12 @@ def subsystem_from_normal_subgroup(F: FusionSystem, n_mask: int) -> Subsystem:
     t_parent = n_mask & real.mask
     if p_part(popcount(n_mask), F.p) != popcount(t_parent):
         raise NotSylowInN("N cap S is not Sylow in N")
-    base = real.group
     t_mask = real.mask_from_parent(t_parent)
-    maps: dict[int, set] = {m: set() for m in base.subgroups_of(t_mask)}
-    for g in G.mask_elements(n_mask):
-        partial = {}
-        dom_mask = 0
-        for i in base.mask_elements(t_mask):
-            y = G.conj(real.to_parent[i], g)
-            j = real.index_of.get(y)
-            if j is not None and (t_mask >> j) & 1:
-                partial[i] = j
-                dom_mask |= 1 << i
-        for P in base.subgroups_of(dom_mask):
-            maps[P].add(tuple(partial[i] for i in base.mask_elements(P)))
     E = FusionSystem(
-        base,
+        real.group,
         t_mask,
         F.p,
-        {m: frozenset(s) for m, s in maps.items()},
+        _conjugation_maps(G, real, t_mask, G.mask_elements(n_mask)),
         NormalSubgroupProvenance(group=G, s_real=real, n_mask=n_mask),
         label=f"F_T(N<{G.label})",
     )
@@ -1045,23 +990,15 @@ def maps_equal_under_index_map(
     F1: FusionSystem, F2: FusionSystem, idx: Sequence[int]
 ) -> bool:
     """Compare morphism sets under an element-index bijection base1 -> base2."""
-
-    def mask_over(mask: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= 1 << idx[x]
-        return out
-
-    if mask_over(F1.carrier) != F2.carrier:
+    if translate_mask(F1.carrier, idx) != F2.carrier:
         return False
     for P in F1.subgroups():
-        P2 = mask_over(P)
+        P2 = translate_mask(P, idx)
         source = F1.maps_from[P]
         target = F2.maps_from.get(P2)
         if target is None:
             return False
         elems1 = F1.base.mask_elements(P)
-        elems2 = F2.base.mask_elements(P2)
         order = [elems1.index(x) for x in sorted(elems1, key=lambda e: idx[e])]
         translated = set()
         for m in source:

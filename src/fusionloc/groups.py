@@ -57,9 +57,13 @@ def order_bound() -> int:
 
 def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> Perm:
     """Build a 0-based permutation tuple from 1-based disjoint cycles."""
+    if not isinstance(cycles, (list, tuple)):
+        raise ParseError(f"a permutation must be a list of cycles, got {cycles!r}")
     images = list(range(degree))
     seen: set[int] = set()
     for cycle in cycles:
+        if not isinstance(cycle, (list, tuple)):
+            raise ParseError(f"a cycle must be a list of points, got {cycle!r}")
         if not cycle:
             continue
         for pt in cycle:
@@ -76,13 +80,6 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> Perm:
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
     return tuple(q[x] for x in p)
-
-
-def perm_inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
 
 
 def perm_cycles(p: Perm) -> list[tuple[int, ...]]:
@@ -126,6 +123,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def translate_mask(mask: int, index: Sequence[int] | dict[int, int]) -> int:
+    """The mask of the images ``index[i]`` of the members ``i`` of ``mask``."""
+    out = 0
+    for i in bits(mask):
+        out |= 1 << index[i]
+    return out
+
+
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
@@ -156,6 +161,8 @@ class FiniteGroup:
 
     ``table`` is row-major: ``table[a][b] = mul(a, b)``.  Index 0 must be a
     two-sided identity and every element must have a two-sided inverse.
+    Associativity is checked on a seeded sample of triples, or exhaustively
+    up to order 512 with ``check="auto"``.
     """
 
     def __init__(
@@ -166,6 +173,8 @@ class FiniteGroup:
         element_names: Optional[tuple[str, ...]] = None,
         check: str = "sampled",
     ) -> None:
+        if check not in ("sampled", "auto"):
+            raise ValueError(f"unknown check mode {check!r}")
         n = len(table)
         if n == 0:
             raise ParseError("empty multiplication table")
@@ -200,8 +209,8 @@ class FiniteGroup:
                 raise ParseError("permutation representation size mismatch")
             for p in perms:
                 _check_bijection(p, degree)
-        self._verify_associativity(check)
-        if perm_rep is not None and check != "none":
+        self._verify_associativity(exhaustive=check == "auto" and n <= 512)
+        if perm_rep is not None:
             self._verify_perm_rep()
         # caches
         self._mask_elems: dict[int, tuple[int, ...]] = {}
@@ -225,9 +234,6 @@ class FiniteGroup:
         """g^-1 x g."""
         n = self.order
         return self._flat[self._flat[self._inv[g] * n + x] * n + g]
-
-    def commutes(self, a: int, b: int) -> bool:
-        return self.mul(a, b) == self.mul(b, a)
 
     def element_order(self, a: int) -> int:
         cached = self._elt_order.get(a)
@@ -268,11 +274,9 @@ class FiniteGroup:
 
     # -- verification -------------------------------------------------------
 
-    def _verify_associativity(self, check: str) -> None:
-        if check == "none":
-            return
+    def _verify_associativity(self, exhaustive: bool) -> None:
         n = self.order
-        if check == "full" or (check == "auto" and n <= 512):
+        if exhaustive:
             rng: Iterable[tuple[int, int, int]] = (
                 (a, b, c) for a in range(n) for b in range(n) for c in range(n)
             )
@@ -505,7 +509,6 @@ class FiniteGroup:
             label=f"{self.label}|{self.subgroup_label(mask)}",
             perm_rep=rep,
             element_names=names,
-            check="sampled",
         )
         got = RealizedSubgroup(parent=self, mask=mask, group=sub, to_parent=elems, index_of=pos)
         self._realized[mask] = got
@@ -526,16 +529,10 @@ class RealizedSubgroup:
     index_of: dict[int, int] = field(compare=False)
 
     def mask_to_parent(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << self.to_parent[i]
-        return out
+        return translate_mask(mask, self.to_parent)
 
     def mask_from_parent(self, mask: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= 1 << self.index_of[x]
-        return out
+        return translate_mask(mask, self.index_of)
 
 
 @dataclass(frozen=True)
@@ -567,9 +564,6 @@ class Subgroup:
 
     def as_group(self) -> RealizedSubgroup:
         return self.group.as_group(self.mask)
-
-    def is_normal(self) -> bool:
-        return self.group.is_normal_mask(self.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +606,8 @@ def group_from_permutations(
                     elems.append(w)
                     nxt.append(w)
         frontier = nxt
-    n = len(elems)
     table = [[index[perm_compose(a, b)] for b in elems] for a in elems]
-    return FiniteGroup(
-        table, label=label, perm_rep=(degree, tuple(elems)), check="sampled"
-    )
+    return FiniteGroup(table, label=label, perm_rep=(degree, tuple(elems)))
 
 
 def group_from_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGroup:
@@ -654,7 +645,7 @@ def group_from_elements(
     element_names = (
         tuple(names(x) for x in ordered) if names is not None else None
     )
-    grp = FiniteGroup(table, label=label, element_names=element_names, check="sampled")
+    grp = FiniteGroup(table, label=label, element_names=element_names)
     return grp, tuple(ordered)
 
 
@@ -670,7 +661,7 @@ def load_group_json(data: dict, bound: Optional[int] = None) -> FiniteGroup:
     name = data.get("name", "G")
     if "table" in data:
         table = data["table"]
-        if not isinstance(table, list):
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise ParseError("table must be a list of rows")
         limit = bound if bound is not None else order_bound()
         if len(table) > limit:
@@ -794,11 +785,6 @@ class QuotientGroup:
     group: FiniteGroup
     projection: tuple[int, ...]
 
-    def coset_members(self, q: int) -> tuple[int, ...]:
-        return tuple(
-            x for x in range(self.source.order) if self.projection[x] == q
-        )
-
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     """Coset group G/N with induced multiplication; N must be normal."""
@@ -816,7 +802,6 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
         reps.append(members[0])
         for m in members:
             coset_of[m] = idx
-    k = len(reps)
     table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
     # well-definedness: products of arbitrary members land in the same coset
     if G.order <= 512:
@@ -825,9 +810,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
                 if coset_of[G.mul(x, y)] != table[coset_of[x]][coset_of[y]]:
                     raise NotNormal("quotient multiplication ill-defined")
     names = tuple("[" + G.element_label(r) + "]" for r in reps)
-    Q = FiniteGroup(
-        table, label=f"{G.label}/{N.label()}", element_names=names, check="sampled"
-    )
+    Q = FiniteGroup(table, label=f"{G.label}/{N.label()}", element_names=names)
     proj = tuple(coset_of[x] for x in range(G.order))
     return QuotientGroup(source=G, kernel=N, group=Q, projection=proj)
 

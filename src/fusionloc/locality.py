@@ -35,10 +35,17 @@ from .groups import (
     RealizedSubgroup,
     Subgroup,
     bits,
+    cores,
     group_from_elements,
+    o_p_mask,
     p_part,
     popcount,
+    translate_mask,
 )
+
+# word budget and sampling seed of verify_locality
+WORD_CAP = 120_000
+WORD_SEED = 0
 
 
 class Locality:
@@ -55,7 +62,8 @@ class Locality:
         p: int,
         label: str = "L",
         elt_names: Optional[tuple[str, ...]] = None,
-        conj_s: Optional[tuple[dict[int, int], ...]] = None,
+        *,
+        conj_s: tuple[dict[int, int], ...],
         source_group: Optional[FiniteGroup] = None,
         source_ids: Optional[tuple[int, ...]] = None,
     ) -> None:
@@ -71,8 +79,6 @@ class Locality:
         self.elt_names = elt_names
         self.source_group = source_group
         self.source_ids = source_ids
-        if conj_s is None:
-            conj_s = tuple(self._conj_from_prod(f) for f in range(size))
         self.conj_s = conj_s
         self._s_of: dict[int, int] = {}
         self._fusion: Optional[FusionSystem] = None
@@ -86,22 +92,6 @@ class Locality:
         if self.source_group is not None and self.source_ids is not None:
             return self.source_group.element_label(self.source_ids[x])
         return str(x)
-
-    def _conj_from_prod(self, f: int) -> dict[int, int]:
-        """Derive c_f on S from binary folds (used when not supplied)."""
-        out = {}
-        g = self.inv[f]
-        for i, s in enumerate(self.s_ids):
-            a = self.prod2.get((g, s))
-            if a is None:
-                continue
-            b = self.prod2.get((a, f))
-            if b is None:
-                continue
-            j = self.s_pos.get(b)
-            if j is not None:
-                out[i] = j
-        return out
 
     def s_of(self, f: int) -> int:
         """S_f as a mask over s_group indices."""
@@ -223,24 +213,27 @@ class Locality:
     # -- fusion system ----------------------------------------------------------
 
     def fusion_system(self) -> FusionSystem:
-        """F_S(L), generated by the conjugation maps c_f on S_f."""
+        """F_S(L), built once and cached."""
         if self._fusion is None:
-            gens = []
-            for f in range(self.size):
-                cmap = self.conj_s[f]
-                dom = self.s_of(f)
-                images = tuple(cmap[i] for i in bits(dom))
-                gens.append((dom, images))
-            maps = close_morphism_sets(self.s_group, self.s_group.full_mask, gens)
-            self._fusion = FusionSystem(
-                self.s_group,
-                self.s_group.full_mask,
-                self.p,
-                maps,
-                LocalityProvenance(locality=self),
-                label=f"F_S({self.label})",
-            )
+            self._fusion = self.build_fusion_system()
         return self._fusion
+
+    def build_fusion_system(self) -> FusionSystem:
+        """A new F_S(L), generated by the conjugation maps c_f on S_f."""
+        gens = []
+        for f in range(self.size):
+            cmap = self.conj_s[f]
+            dom = self.s_of(f)
+            gens.append((dom, tuple(cmap[i] for i in bits(dom))))
+        maps = close_morphism_sets(self.s_group, self.s_group.full_mask, gens)
+        return FusionSystem(
+            self.s_group,
+            self.s_group.full_mask,
+            self.p,
+            maps,
+            LocalityProvenance(locality=self),
+            label=f"F_S({self.label})",
+        )
 
     # -- predicates ---------------------------------------------------------------
 
@@ -248,8 +241,6 @@ class Locality:
         return tuple(sorted(self.delta))
 
     def is_objective_char_p(self) -> bool:
-        from .groups import cores
-
         return all(
             cores(self.normalizer_group(P)[0], self.p).is_char_p
             for P in self.objects_sorted()
@@ -265,8 +256,6 @@ class Locality:
         """Whether O_p(N_L(P)) equals P, for P in Delta."""
         if mask not in self.delta:
             raise NotAnObject(self.s_group.subgroup_label(mask))
-        from .groups import o_p_mask
-
         grp, ordered = self.normalizer_group(mask)
         op = o_p_mask(grp, self.p)
         op_smask = 0
@@ -420,7 +409,7 @@ def locality_from_group(
                 prod2[(ia, ib)] = target
 
     conj_s = []
-    for ig, g in enumerate(carrier):
+    for g in carrier:
         cmap = {}
         for i, x in enumerate(real.to_parent):
             j = real.index_of.get(G.conj(x, g))
@@ -466,20 +455,18 @@ class LocalityAxiomReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def verify_locality(
-    L: Locality, seed: int = 0, word_cap: int = 120_000
-) -> LocalityAxiomReport:
+def verify_locality(L: Locality) -> LocalityAxiomReport:
     """Check the partial-group and locality axioms, with witnesses.
 
     Associativity and the word-domain rule are exhaustive for words of
-    length <= 2; length-3 and length-4 words are exhaustive only while the
-    total stays under ``word_cap`` and are otherwise sampled with the given
-    seed.  The converse of the domain rule at length >= 3 ("fold defined
-    implies word in domain") is not an axiom of partial groups and is not
-    checked.
+    length <= 2; length-3 words are exhaustive only while the total stays
+    under ``WORD_CAP`` and are otherwise sampled, and length-4 words are
+    sampled, all with seed ``WORD_SEED``.  The converse of the domain rule
+    at length >= 3 ("fold defined implies word in domain") is not an axiom
+    of partial groups and is not checked.
     """
     checks: list[AxiomCheck] = []
-    rng = random.Random(seed)
+    rng = random.Random(WORD_SEED)
     n = L.size
 
     def check(name: str, ok: bool, witness: Optional[str] = None) -> None:
@@ -532,14 +519,14 @@ def verify_locality(
 
     # word-domain rule and associativity at length 3 (capped)
     triples: Iterable[tuple[int, int, int]]
-    if n**3 <= word_cap:
+    if n**3 <= WORD_CAP:
         triples = (
             (a, b, c) for a in range(n) for b in range(n) for c in range(n)
         )
     else:
         triples = (
             (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(word_cap // 10)
+            for _ in range(WORD_CAP // 10)
         )
     bad = None
     for w in triples:
@@ -567,7 +554,7 @@ def verify_locality(
 
     # length-4 sampled associativity over domain words
     bad = None
-    count4 = min(word_cap // 20, n**4)
+    count4 = min(WORD_CAP // 20, n**4)
     for _ in range(count4):
         w = tuple(rng.randrange(n) for _ in range(4))
         if L.s_of_word(w) not in L.delta:
@@ -748,6 +735,8 @@ class QuotientData:
     cosets: tuple[frozenset[int], ...]
     quotient: Locality
     projection: tuple[int, ...]
+    # S -> S-bar on s_group indices: s_index[i] indexes the image of s_ids[i]
+    s_index: tuple[int, ...]
 
 
 def is_partial_normal(L: Locality, members: Iterable[int]) -> bool:
@@ -844,12 +833,8 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
     )
     # Delta-bar: images of objects
     spos = {x: i for i, x in enumerate(ordered)}
-    delta_bar = set()
-    for P in L.delta:
-        m = 0
-        for i in bits(P):
-            m |= 1 << spos[proj[L.s_ids[i]]]
-        delta_bar.add(m)
+    s_index = tuple(spos[proj[x]] for x in L.s_ids)
+    delta_bar = {translate_mask(P, s_index) for P in L.delta}
 
     # conjugation on S-bar from word lifts
     conj_s = []
@@ -892,6 +877,7 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
         cosets=tuple(maximal),
         quotient=quot,
         projection=proj,
+        s_index=s_index,
     )
 
 

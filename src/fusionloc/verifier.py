@@ -23,13 +23,17 @@ from .constructions import (
 )
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
 from .fusion import (
+    AbstractProvenance,
+    DerivedProvenance,
     FusionSystem,
     GroupProvenance,
     LocalityProvenance,
     NormalSubgroupProvenance,
-    AbstractProvenance,
+    _is_inner_system,
+    abstract_fusion,
     centralizer_in_S_of_subsystem,
     close_morphism_sets,
+    fusion_from_group,
     image_mask,
     is_constrained,
     normal_ksets,
@@ -45,6 +49,8 @@ from .groups import (
     o_p_prime_mask,
     p_part,
     popcount,
+    quotient_group,
+    translate_mask,
 )
 from .locality import (
     Locality,
@@ -157,41 +163,17 @@ def fusion_wellformed_witness(F: FusionSystem) -> Optional[str]:
 def regenerate(F: FusionSystem) -> Optional[FusionSystem]:
     """Rebuild a fusion system from its provenance, if regenerable."""
     prov = F.provenance
-    if isinstance(prov, GroupProvenance):
-        from .fusion import fusion_from_group
-
-        return fusion_from_group(
-            prov.group, Subgroup(prov.group, prov.s_real.mask), F.p, s_real=prov.s_real
-        )
-    if isinstance(prov, NormalSubgroupProvenance):
-        from .fusion import fusion_from_group
-
-        parent = fusion_from_group(
-            prov.group, Subgroup(prov.group, prov.s_real.mask), F.p, s_real=prov.s_real
-        )
-        return subsystem_from_normal_subgroup(parent, prov.n_mask).fusion
+    if isinstance(prov, (GroupProvenance, NormalSubgroupProvenance)):
+        S = Subgroup(prov.group, prov.s_real.mask)
+        ambient = fusion_from_group(prov.group, S, F.p, s_real=prov.s_real)
+        if isinstance(prov, NormalSubgroupProvenance):
+            return subsystem_from_normal_subgroup(ambient, prov.n_mask).fusion
+        return ambient
     if isinstance(prov, LocalityProvenance):
-        if prov.locality._fusion is F:
-            return _rebuild_from_locality(prov.locality, F)
-        return prov.locality.fusion_system()
+        return prov.locality.build_fusion_system()
     if isinstance(prov, AbstractProvenance):
-        from .fusion import abstract_fusion
-
         return abstract_fusion(F.base, F.p, prov.generators, label=F.label)
     return None
-
-
-def _rebuild_from_locality(L: Locality, F: FusionSystem) -> FusionSystem:
-    gens = []
-    for f in range(L.size):
-        cmap = L.conj_s[f]
-        dom = L.s_of(f)
-        images = tuple(cmap[i] for i in bits(dom))
-        gens.append((dom, images))
-    maps = close_morphism_sets(L.s_group, L.s_group.full_mask, gens)
-    return FusionSystem(
-        L.s_group, L.s_group.full_mask, L.p, maps, LocalityProvenance(L), label=F.label
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +296,6 @@ def run_fusion_checks(
                 bad_join.append(Q)
                 continue
             tk = NK.classification_table()
-            nsk = NK.carrier
             for P in NK.subgroups():
                 if tk[P].subcentric:
                     PQ = base.closure_mask(P | Q)
@@ -394,8 +375,6 @@ def _ambient_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
         cs_parent = c_parent & real.mask
         creal = G.as_group(c_parent)
         cf = F.centralizer_subsystem(P)
-        from .fusion import _is_inner_system
-
         if not _is_inner_system(cf):
             continue
         theta = creal.mask_to_parent(o_p_prime_mask(creal.group, p))
@@ -542,6 +521,7 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
     subject = inst.instance_id
     rep_g = cores(G, p)
 
+    # (P, cores(N_G(P)), cores(C_G(P))) per G-class of nontrivial P <= S
     reps = []
     seen = set()
     for mask in base.subgroup_masks():
@@ -551,16 +531,17 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
         canon = min(G.conjugate_mask(parent, g) for g in range(G.order))
         if canon not in seen:
             seen.add(canon)
-            reps.append(parent)
+            nrep = cores(G.as_group(G.normalizer_mask(parent)).group, p)
+            crep = cores(G.as_group(G.centralizer_mask(parent)).group, p)
+            reps.append((parent, nrep, crep))
 
     # characteristic p is inherited by local subgroups
     if rep_g.is_char_p:
-        bad = []
-        for parent in reps:
-            nreal = G.as_group(G.normalizer_mask(parent))
-            creal = G.as_group(G.centralizer_mask(parent))
-            if not cores(nreal.group, p).is_char_p or not cores(creal.group, p).is_char_p:
-                bad.append(parent)
+        bad = [
+            parent
+            for parent, nrep, crep in reps
+            if not nrep.is_char_p or not crep.is_char_p
+        ]
         out.append(
             _passfail(
                 "group-local-characteristic",
@@ -575,8 +556,6 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
     # central quotients of characteristic-p groups; the center is realized as
     # its own group so the full lattice of G is never enumerated
     if rep_g.is_char_p:
-        from .groups import quotient_group
-
         bad = None
         zreal = G.as_group(G.center_mask())
         for Zsub in zreal.group.subgroup_masks():
@@ -595,12 +574,11 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
         )
 
     # N_G(P) and C_G(P) agree on (almost) characteristic p
-    bad = []
-    for parent in reps:
-        nrep = cores(G.as_group(G.normalizer_mask(parent)).group, p)
-        crep = cores(G.as_group(G.centralizer_mask(parent)).group, p)
-        if nrep.is_char_p != crep.is_char_p or nrep.is_almost_char_p != crep.is_almost_char_p:
-            bad.append(parent)
+    bad = [
+        parent
+        for parent, nrep, crep in reps
+        if nrep.is_char_p != crep.is_char_p or nrep.is_almost_char_p != crep.is_almost_char_p
+    ]
     out.append(
         _passfail(
             "norm-cent-characteristic-agree",
@@ -921,19 +899,11 @@ def run_quotient_checks(qd: QuotientData, subject: str) -> list[CheckResult]:
     FQ = Q.fusion_system()
     base = L.s_group
     qbase = Q.s_group
-    proj = qd.projection
-    qpos = {x: i for i, x in enumerate(Q.s_ids)}
-    idx = [qpos[proj[L.s_ids[i]]] for i in range(len(L.s_ids))]
-
-    def mask_over(mask: int) -> int:
-        outm = 0
-        for i in bits(mask):
-            outm |= 1 << idx[i]
-        return outm
+    idx = qd.s_index
 
     bad = None
     for P in FL.subgroups():
-        P2 = mask_over(P)
+        P2 = translate_mask(P, idx)
         elems = base.mask_elements(P)
         lifts: dict[int, int] = {}
         for i in elems:
@@ -963,7 +933,7 @@ def run_quotient_checks(qd: QuotientData, subject: str) -> list[CheckResult]:
     for P in FL.subgroups():
         if P & t_mask != t_mask:
             continue
-        P2 = mask_over(P)
+        P2 = translate_mask(P, idx)
         elems = base.mask_elements(P)
         pos = {x: k for k, x in enumerate(elems)}
         q_elems = qbase.mask_elements(P2)
@@ -1007,24 +977,20 @@ def run_censubsystem_checks(
     G = inst.group
     F = inst.fusion
     real = inst.s_real
-    base = real.group
     LQ = td.quotient
     if not LQ.is_linking_locality():
         return [_skip("subsystem-centralizer-match", subject, "no linking locality")]
     qbase = LQ.s_group
 
     # identification of S with its image in the quotient
+    src = td.locality
     if td.quotient_data is None:
-        idx = list(range(len(base.mask_elements(base.full_mask))))
-        src = td.locality
-        proj = tuple(range(src.size))
+        idx = range(len(src.s_ids))
+        proj = range(src.size)
     else:
-        src = td.locality
+        idx = td.quotient_data.s_index
         proj = td.quotient_data.projection
-        qpos = {x: i for i, x in enumerate(LQ.s_ids)}
-        idx = [qpos[proj[src.s_ids[i]]] for i in range(len(src.s_ids))]
 
-    table = F.classification_table()
     for n_mask in G.normal_subgroup_masks():
         t_parent = n_mask & real.mask
         if p_part(popcount(n_mask), F.p) != popcount(t_parent):
@@ -1059,9 +1025,9 @@ def run_censubsystem_checks(
                     dom |= 1 << i
             gens.append((dom, tuple(cmap[i] for i in bits(dom))))
         emaps = close_morphism_sets(qbase, t_mask_q, gens)
-        from .fusion import FusionSystem as FS, DerivedProvenance
-
-        E_loc = FS(qbase, t_mask_q, F.p, emaps, DerivedProvenance("partial-normal"), label="E_loc")
+        E_loc = FusionSystem(
+            qbase, t_mask_q, F.p, emaps, DerivedProvenance("partial-normal"), label="E_loc"
+        )
         FQ = LQ.fusion_system()
         cs_fusion = centralizer_in_S_of_subsystem(FQ, E_loc)
         # set-level centralizer of N-bar in S-bar
@@ -1073,10 +1039,7 @@ def run_censubsystem_checks(
         # cross-check with the group-side subsystem
         sub = subsystem_from_normal_subgroup(F, n_mask)
         cs_group = centralizer_in_S_of_subsystem(F, sub.fusion)
-        cs_group_q = 0
-        for i in bits(cs_group):
-            cs_group_q |= 1 << idx[i]
-        ok = ok and cs_group_q == cs_fusion
+        ok = ok and translate_mask(cs_group, idx) == cs_fusion
         out.append(
             _passfail(
                 "subsystem-centralizer-match",
@@ -1223,10 +1186,8 @@ def run_instance_checks(
             inst.group, inst.sylow, all_objects, inst.prime,
             label=f"L_all({inst.entry.name})", s_real=inst.s_real,
         )
-        if not done():
-            out.extend(run_locality_checks(L_all, subject + "/L-all"))
+        table = inst.fusion.classification_table()
         if group_cpt:
-            table = inst.fusion.classification_table()
             subc_nontrivial = {
                 P for P in inst.fusion.subgroups() if P != 1 and table[P].subcentric
             }
@@ -1248,20 +1209,20 @@ def run_instance_checks(
                 _skip("char-p-type-locality", subject, "group not of characteristic p-type")
             )
         # the centric-objects locality exercises the Delta <= F^c checks
-        if not done():
-            table = inst.fusion.classification_table()
-            centric_objects = frozenset(
-                P for P in inst.fusion.subgroups() if table[P].centric
-            )
-            L_c = locality_from_group(
-                inst.group, inst.sylow, centric_objects, inst.prime,
-                label=f"L_c({inst.entry.name})", s_real=inst.s_real,
-            )
-            out.extend(run_locality_checks(L_c, subject + "/L-centric"))
-        if not done():
-            out.extend(run_locality_checks(td.locality, subject + "/L-delta*"))
-        if not done() and td.quotient is not td.locality:
-            out.extend(run_locality_checks(td.quotient, subject + "/L-theta-quot"))
+        centric_objects = frozenset(
+            P for P in inst.fusion.subgroups() if table[P].centric
+        )
+        L_c = locality_from_group(
+            inst.group, inst.sylow, centric_objects, inst.prime,
+            label=f"L_c({inst.entry.name})", s_real=inst.s_real,
+        )
+        stages = [("/L-all", L_all), ("/L-centric", L_c), ("/L-delta*", td.locality)]
+        if td.quotient is not td.locality:
+            stages.append(("/L-theta-quot", td.quotient))
+        for suffix, L in stages:
+            if done():
+                break
+            out.extend(run_locality_checks(L, subject + suffix))
         if not done() and td.quotient_data is not None:
             out.extend(
                 run_quotient_checks(td.quotient_data, subject + "/L-theta-quot")

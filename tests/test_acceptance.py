@@ -7,8 +7,10 @@ the criteria that read the check matrix.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +277,7 @@ def test_criterion_10_determinism(full_run):
         blob1 == blob2,
         "two consecutive full corpus runs produce byte-identical JSON reports",
     )
+    # `verify --json` writes blob + "\n"; its hash is the benchmark's reference
+    references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    expected = json.loads(references.read_text())["verify/corpus"]
+    assert hashlib.sha256((blob1 + "\n").encode("utf-8")).hexdigest() == expected

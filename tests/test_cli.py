@@ -110,7 +110,7 @@ def test_build_deterministic(capsys, tmp_path):
     ).read_bytes()
 
 
-def test_input_errors(capsys):
+def test_input_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["classify", "--builtin", "NoSuch", "--prime", "2"])
     assert code == 3 and "error" in err
     code, _, _ = run_cli(capsys, ["classify", "--prime", "2"])
@@ -120,6 +120,20 @@ def test_input_errors(capsys):
         ["build", "--builtin", "S4", "--prime", "2", "--objects", "all", "--quotient-theta"],
     )
     assert code == 3
+    # malformed subsystem files and group files
+    malformed = [
+        ("verify", "--subsystems", [{"normal": [], "kind": "p-power"}]),
+        ("verify", "--subsystems", {"S4@p2": [{"kind": "p-power"}]}),
+        ("verify", "--subsystems", {"S4@p2": [{"normal": [[[1, 2, 3]]], "kind": "index-2"}]}),
+        ("classify", "--file", {"name": "X", "table": [1, 2]}),
+        ("classify", "--file", {"name": "X", "degree": 3, "generators": [[1, 2]]}),
+    ]
+    for i, (command, flag, content) in enumerate(malformed):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(content))
+        args = [command, flag, str(path)] + (["--prime", "2"] if command == "classify" else [])
+        code, _, err = run_cli(capsys, args)
+        assert code == 3 and "error" in err, (content, code, err)
 
 
 def test_verify_only_subset(capsys, tmp_path, monkeypatch):

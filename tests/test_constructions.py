@@ -90,7 +90,7 @@ def test_theta_nontrivial_sl23_at_3(corpus):
     # per-object kernels match Theta(N_G(P))
     gamma = nontrivial(td.deltas.delta_star)
     for P in gamma:
-        kern = td.object_kernel_ids(P)
+        kern = td.object_kernels[P]
         norm = set(td.locality.normalizer_ids(P))
         assert kern == norm & td.theta.members
 

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
-from fusionloc.fusion import FusionSystem
-from fusionloc.groups import popcount
+from fusionloc.fusion import FusionSystem, abstract_fusion, subsystem_from_normal_subgroup
+from fusionloc.groups import p_part, popcount
 from fusionloc.verifier import (
     CorpusReport,
     check_index_subsystem,
@@ -78,6 +78,29 @@ def test_mutation_sensitivity_sample(corpus):
             assert mutation_detected_fusion(mutated), desc
         for desc, mutated in mutate_locality(L, seed=99, count=10):
             assert mutation_detected_locality(mutated), desc
+    # systems regenerated from a locality, a normal subgroup and generators
+    for name, prime in (("S4", 2), ("A5", 2), ("SL23", 2)):
+        inst = corpus.instance(name, prime)
+        F = inst.fusion
+        n_mask = min(
+            (
+                m
+                for m in inst.group.normal_subgroup_masks()
+                if m & inst.s_real.mask != 1
+                and p_part(popcount(m), prime) == popcount(m & inst.s_real.mask)
+            ),
+            key=popcount,
+        )
+        generators = [(P, m) for P in sorted(F.maps_from) for m in sorted(F.maps_from[P])]
+        systems = (
+            corpus.locality_all(name, prime).fusion_system(),
+            subsystem_from_normal_subgroup(F, n_mask).fusion,
+            abstract_fusion(F.base, prime, generators),
+        )
+        for E in systems:
+            assert fusion_wellformed_witness(E) is None, E.label
+            for desc, mutated in mutate_fusion(E, seed=99, count=10):
+                assert mutation_detected_fusion(mutated), (E.label, desc)
 
 
 def test_supplied_index_subsystems(corpus):
