@@ -539,7 +539,7 @@ class FusionSystem:
 
     def _cr_data(self) -> tuple[dict[int, bool], dict[int, bool]]:
         """Centric and radical flags per class representative (no recursion)."""
-        if getattr(self, "_cr_cache", None) is None:
+        if self._cr_cache is None:
             centric_of = {}
             radical_of = {}
             for data in self.classes():
@@ -685,7 +685,13 @@ class FusionSystem:
         return True
 
     def local_subsystem(self, Q: int, K: "KAutSet | frozenset", check: bool = True) -> "FusionSystem":
-        """The K-normalizer subsystem over N_S^K(Q)."""
+        """The K-normalizer subsystem over N_S^K(Q).
+
+        K-normalizer subsystems are interned on the base group: systems whose
+        carrier and morphism sets agree are one object, so their classes,
+        saturation and classification are computed once.  The label is the
+        one the object was first built with.
+        """
         if isinstance(K, KAutSet):
             if K.q_mask != Q:
                 raise FusionlocError("K is an automorphism set of a different subgroup")
@@ -693,11 +699,16 @@ class FusionSystem:
         else:
             kset = frozenset(K)
         key = (Q, kset)
-        got = self._local.get(key)
-        if got is not None:
-            if check and self.is_saturated() and not got.is_saturated():
-                raise VerificationFailed(f"K-normalizer of {self.base.subgroup_label(Q)} not saturated")
-            return got
+        out = self._local.get(key)
+        if out is None:
+            out = self._local[key] = self._k_normalizer_subsystem(Q, kset)
+        if check and self.is_saturated() and not out.is_saturated():
+            raise VerificationFailed(
+                f"K-normalizer of {self.base.subgroup_label(Q)} not saturated"
+            )
+        return out
+
+    def _k_normalizer_subsystem(self, Q: int, kset: frozenset) -> "FusionSystem":
         if not self.is_fully_k_normalized(Q, kset):
             raise NotFullyKNormalized(self.base.subgroup_label(Q))
         base = self.base
@@ -716,18 +727,17 @@ class FusionSystem:
                         + morphism_label(base, A, phi)
                     )
                 maps[A].add(phi)
-        out = FusionSystem(
-            base,
-            new_carrier,
-            self.p,
-            {m: frozenset(s) for m, s in maps.items()},
-            DerivedProvenance("k-normalizer"),
-            label=f"N_{self.label}({base.subgroup_label(Q)})",
-        )
-        self._local[key] = out
-        if check and self.is_saturated() and not out.is_saturated():
-            raise VerificationFailed(
-                f"K-normalizer of {base.subgroup_label(Q)} not saturated"
+        maps_from = {m: frozenset(s) for m, s in maps.items()}
+        key = (new_carrier, self.p, frozenset(maps_from.items()))
+        out = base._k_normalizers.get(key)
+        if out is None:
+            out = base._k_normalizers[key] = FusionSystem(
+                base,
+                new_carrier,
+                self.p,
+                maps_from,
+                DerivedProvenance("k-normalizer"),
+                label=f"N_{self.label}({base.subgroup_label(Q)})",
             )
         return out
 

@@ -215,12 +215,16 @@ class FiniteGroup:
         # caches
         self._mask_elems: dict[int, tuple[int, ...]] = {}
         self._closure: dict[int, int] = {}
+        self._is_subgroup: dict[int, bool] = {}
         self._subgroups: Optional[tuple[int, ...]] = None
         self._maximal: dict[int, tuple[int, ...]] = {}
         self._sylow: dict[int, int] = {}
         self._realized: dict[int, "RealizedSubgroup"] = {}
         self._normals: Optional[tuple[int, ...]] = None
         self._elt_order: dict[int, int] = {}
+        # K-normalizer fusion systems over this group, interned by
+        # ``FusionSystem.local_subsystem`` on (carrier, p, morphism sets)
+        self._k_normalizers: dict[tuple, object] = {}
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -370,10 +374,14 @@ class FiniteGroup:
         return self.centralizer_mask(self.full_mask)
 
     def is_subgroup_mask(self, mask: int) -> bool:
-        if not mask & 1:
-            return False
-        elems = self.mask_elements(mask)
-        return all((mask >> self.mul(a, b)) & 1 for a in elems for b in elems)
+        got = self._is_subgroup.get(mask)
+        if got is None:
+            got = bool(mask & 1)
+            if got:
+                elems = self.mask_elements(mask)
+                got = all((mask >> self.mul(a, b)) & 1 for a in elems for b in elems)
+            self._is_subgroup[mask] = got
+        return got
 
     def is_normal_mask(self, mask: int) -> bool:
         return all(

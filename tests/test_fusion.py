@@ -21,6 +21,7 @@ from fusionloc.fusion import (
     trivial_kset,
 )
 from fusionloc.groups import Subgroup, bits, perm_from_cycles, popcount, sylow_p
+from fusionloc.verifier import run_fusion_checks
 
 
 def F_of(corpus, name, prime):
@@ -351,3 +352,33 @@ def test_fusion_hom_filter(corpus):
             if P & Q == P:
                 # the inclusion is present
                 assert tuple(base.mask_elements(P)) in set(F.hom(P, Q))
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "SL23"])
+def test_k_normalizers_interned_per_base(corpus, name):
+    inst = corpus.instance(name, 2)
+    F = inst.fusion
+    run_fusion_checks(F, inst.instance_id)
+    table = F.base._k_normalizers
+    assert table
+
+    def content(E):
+        return (E.carrier, frozenset(E.maps_from.items()))
+
+    # one object per (carrier, morphism sets)
+    assert len({content(E) for E in table.values()}) == len(table)
+
+    # (Q, K) pairs with equal K-normalizer morphism sets share one object
+    by_content: dict = {}
+    for Q in F.subgroups():
+        for K in fu.normal_ksets(F, Q):
+            if F.is_fully_k_normalized(Q, K):
+                E = F.local_subsystem(Q, K, check=False)
+                by_content.setdefault(content(E), []).append(E)
+    assert any(len(systems) > 1 for systems in by_content.values())
+    for systems in by_content.values():
+        assert all(E is systems[0] for E in systems)
+
+    # cached saturation agrees with the independent Sylow + extension oracle
+    for E in table.values():
+        assert E.is_saturated() == E.check_saturation_alternative()

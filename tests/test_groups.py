@@ -301,3 +301,13 @@ def test_subgroup_closure_properties(data, salt):
     K = G.conjugate_mask(H, g)
     assert popcount(K) == popcount(H)
     assert G.is_subgroup_mask(K)
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "A4"])
+def test_subgroup_memo_matches_closure(name):
+    # oracle: a mask is a subgroup iff it holds the identity and is its own closure
+    G = builtin_group(name)
+    masks = range(1 << G.order)
+    expected = {m: bool(m & 1) and G.closure_mask(m) == m for m in masks}
+    assert [G.is_subgroup_mask(m) for m in masks] == [expected[m] for m in masks]
+    assert [G.is_subgroup_mask(m) for m in masks] == [expected[m] for m in masks]
