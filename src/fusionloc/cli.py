@@ -126,8 +126,7 @@ def _object_masks(args, G: FiniteGroup, S: Subgroup, real) -> frozenset[int]:
     base = real.group
     choice = args.objects
     if choice == "all":
-        masks = frozenset(m for m in base.subgroup_masks() if m != 1)
-        return masks if masks else frozenset({1})
+        return nontrivial(frozenset(base.subgroup_masks()))
     if choice in ("delta", "delta-star"):
         ds = delta_sets(G, S, args.prime, s_real=real)
         masks = ds.delta if choice == "delta" else ds.delta_star
@@ -247,6 +246,8 @@ def cmd_verify(args) -> int:
         fail_fast=args.fail_fast,
         supplied_subsystems=supplied,
     )
+    if args.only is not None and not report.results:
+        raise ParseError(f"--only {args.only!r} matches no check id")
     sys.stdout.write(report.to_table())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -316,9 +316,9 @@ def is_l_radical(L: Locality, mask: int) -> bool:
 def _validate_gamma(
     base: FiniteGroup,
     gamma: frozenset[int],
-    conjugating: Iterable[Callable[[int], Optional[int]]],
+    conjugations: Iterable[tuple[int, dict[int, int]]],
 ) -> None:
-    """Gamma must be nonempty, closed under overgroups and conjugation into S."""
+    """Gamma must be nonempty, closed under overgroups and each c_g of (S_g, c_g)."""
     if not gamma:
         raise NotClosed("empty object set")
     subgroups = set(base.subgroup_masks())
@@ -331,10 +331,9 @@ def _validate_gamma(
                 raise NotClosed(
                     f"not closed under overgroups: {base.subgroup_label(Q)}"
                 )
-    for convey in conjugating:
+    for dom, cmap in conjugations:
         for P in gamma:
-            img = convey(P)
-            if img is not None and img not in gamma:
+            if P & dom == P and translate_mask(P, cmap) not in gamma:
                 raise NotClosed(
                     f"not closed under conjugation: {base.subgroup_label(P)}"
                 )
@@ -357,50 +356,33 @@ def locality_from_group(
     base = real.group
     gamma = frozenset(gamma)
 
-    conj_testers = []
+    # c_g on S_g for every g in G; all later steps read this one table
+    cmaps: list[dict[int, int]] = []
+    s_masks: list[int] = []
     for g in range(G.order):
-
-        def convey(P: int, g: int = g) -> Optional[int]:
-            out = 0
-            for i in bits(P):
-                y = G.conj(real.to_parent[i], g)
-                j = real.index_of.get(y)
-                if j is None:
-                    return None
-                out |= 1 << j
-            return out
-
-        conj_testers.append(convey)
-    _validate_gamma(base, gamma, conj_testers)
+        cmap, s_mask = {}, 0
+        for i, x in enumerate(real.to_parent):
+            j = real.index_of.get(G.conj(x, g))
+            if j is not None:
+                cmap[i] = j
+                s_mask |= 1 << i
+        cmaps.append(cmap)
+        s_masks.append(s_mask)
+    _validate_gamma(base, gamma, zip(s_masks, cmaps))
 
     # carrier: g with S cap S^g in Gamma (= the domain of c_{g^-1})
-    carrier: list[int] = []
-    for g in range(G.order):
-        inv_dom = 0
-        for i, x in enumerate(real.to_parent):
-            if real.index_of.get(G.conj(x, G.inv(g))) is not None:
-                inv_dom |= 1 << i
-        if inv_dom in gamma:
-            carrier.append(g)
+    carrier = [g for g in range(G.order) if s_masks[G.inv(g)] in gamma]
     pos = {g: i for i, g in enumerate(carrier)}
-    n = len(carrier)
     inv = tuple(pos[G.inv(g)] for g in carrier)
     s_ids = tuple(pos[x] for x in real.to_parent)
 
+    # in a group S_(a,b) = S_a cap S_ab
     prod2: dict[tuple[int, int], int] = {}
     for ia, ga in enumerate(carrier):
+        sa = s_masks[ga]
         for ib, gb in enumerate(carrier):
-            # S_{(a,b)}: chain x -> x^ga in S -> (x^ga)^gb in S
-            m = 0
             gab = G.mul(ga, gb)
-            for i, x in enumerate(real.to_parent):
-                y = G.conj(x, ga)
-                if real.index_of.get(y) is None:
-                    continue
-                if real.index_of.get(G.conj(x, gab)) is None:
-                    continue
-                m |= 1 << i
-            if m in gamma:
+            if (sa & s_masks[gab]) in gamma:
                 target = pos.get(gab)
                 if target is None:
                     raise VerificationFailed(
@@ -408,17 +390,8 @@ def locality_from_group(
                     )
                 prod2[(ia, ib)] = target
 
-    conj_s = []
-    for g in carrier:
-        cmap = {}
-        for i, x in enumerate(real.to_parent):
-            j = real.index_of.get(G.conj(x, g))
-            if j is not None:
-                cmap[i] = j
-        conj_s.append(cmap)
-
     return Locality(
-        size=n,
+        size=len(carrier),
         inv=inv,
         prod2=prod2,
         s_ids=s_ids,
@@ -426,7 +399,7 @@ def locality_from_group(
         delta=gamma,
         p=p,
         label=label or f"L({G.label})",
-        conj_s=tuple(conj_s),
+        conj_s=tuple(cmaps[g] for g in carrier),
         source_group=G,
         source_ids=tuple(carrier),
     )
@@ -885,57 +858,75 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
 # restrictions and K-normalizer localities
 
 
-def restriction(L: Locality, delta_sub: Iterable[int]) -> Locality:
-    """The restriction of L to a smaller object set."""
-    sub = frozenset(delta_sub)
-    if not sub:
-        raise NotClosed("empty object set")
-    if not sub <= L.delta:
-        raise NotClosed("object set not contained in Delta")
-    subgroups = set(L.s_group.subgroup_masks())
-    for P in sub:
-        for Q in subgroups:
-            if P & Q == P and Q not in sub:
-                raise NotClosed("not closed under overgroups")
-        for f in range(L.size):
-            if L.s_of(f) & P == P:
-                img = L.conj_mask(P, f)
-                if img is not None and img not in sub:
-                    raise NotClosed("not closed under conjugation")
+def _sub_locality(
+    L: Locality,
+    t_mask: int,
+    gamma: frozenset[int],
+    label: str,
+    admits: Callable[[int], bool],
+) -> tuple[Locality, tuple[int, ...]]:
+    """The sub-locality on the admitted f in L with S_f cap T in Gamma, and its carrier.
 
-    carrier = [f for f in range(L.size) if L.s_of(f) in sub]
+    Products and conjugation entries are kept on the words w with S_w cap T in
+    Gamma; T becomes the S-group (for T = S, L's own).
+    """
+    carrier = tuple(
+        f for f in range(L.size) if admits(f) and (L.s_of(f) & t_mask) in gamma
+    )
     pos = {f: i for i, f in enumerate(carrier)}
-    n = len(carrier)
-    inv = tuple(pos[L.inv[f]] for f in carrier)
-    prod2: dict[tuple[int, int], int] = {}
+    prod2 = {}
     for ia, fa in enumerate(carrier):
         for ib, fb in enumerate(carrier):
-            if (fa, fb) in L.prod2 and L.s_of_word((fa, fb)) in sub:
-                prod2[(ia, ib)] = pos[L.prod2[(fa, fb)]]
+            if (fa, fb) in L.prod2 and (L.s_of_word((fa, fb)) & t_mask) in gamma:
+                target = pos.get(L.prod2[(fa, fb)])
+                if target is None:
+                    raise VerificationFailed(f"restricted product leaves {label}")
+                prod2[(ia, ib)] = target
+
+    if t_mask == L.s_group.full_mask:
+        s_group, t_index = L.s_group, {i: i for i in range(len(L.s_ids))}
+    else:
+        t_real = L.s_group.as_group(t_mask)
+        s_group, t_index = t_real.group, t_real.index_of
     conj_s = []
     for f in carrier:
         cmap = {}
-        for i, j in L.conj_s[f].items():
-            if L.s_of_word((L.inv[f], L.s_ids[i], f)) in sub:
-                cmap[i] = j
+        for i, ti in t_index.items():
+            j = L.conj_s[f].get(i)
+            if j is None or j not in t_index:
+                continue
+            word_mask = L.s_of_word((L.inv[f], L.s_ids[i], f))
+            if (word_mask & t_mask) in gamma:
+                cmap[ti] = t_index[j]
         conj_s.append(cmap)
-    names = tuple(L.element_label(f) for f in carrier)
-    return Locality(
-        size=n,
-        inv=inv,
+    out = Locality(
+        size=len(carrier),
+        inv=tuple(pos[L.inv[f]] for f in carrier),
         prod2=prod2,
-        s_ids=tuple(pos[x] for x in L.s_ids),
-        s_group=L.s_group,
-        delta=sub,
+        s_ids=tuple(pos[L.s_ids[i]] for i in t_index),
+        s_group=s_group,
+        delta=frozenset(translate_mask(P, t_index) for P in gamma),
         p=L.p,
-        label=f"{L.label}|restricted",
-        elt_names=names,
+        label=label,
+        elt_names=tuple(L.element_label(f) for f in carrier),
         conj_s=tuple(conj_s),
         source_group=L.source_group,
         source_ids=tuple(L.source_ids[f] for f in carrier)
         if L.source_ids is not None
         else None,
     )
+    return out, carrier
+
+
+def restriction(L: Locality, delta_sub: Iterable[int]) -> Locality:
+    """The restriction of L to a smaller object set."""
+    sub = frozenset(delta_sub)
+    if not sub <= L.delta:
+        raise NotClosed("object set not contained in Delta")
+    conjugations = ((L.s_of(f), L.conj_s[f]) for f in range(L.size))
+    _validate_gamma(L.s_group, sub, conjugations)
+    label = f"{L.label}|restricted"
+    return _sub_locality(L, L.s_group.full_mask, sub, label, lambda f: True)[0]
 
 
 def k_normalizer_locality(
@@ -977,62 +968,8 @@ def k_normalizer_locality(
         tup = tuple(L.conj_s[f][i] for i in bits(q_mask))
         return tup in kset
 
-    carrier = []
-    for f in range(L.size):
-        if not in_carrier(f):
-            continue
-        if (L.s_of(f) & t_mask) in gamma:
-            carrier.append(f)
-    pos = {f: i for i, f in enumerate(carrier)}
-    n = len(carrier)
-    inv = tuple(pos[L.inv[f]] for f in carrier)
-    prod2 = {}
-    for ia, fa in enumerate(carrier):
-        for ib, fb in enumerate(carrier):
-            if (fa, fb) not in L.prod2:
-                continue
-            if (L.s_of_word((fa, fb)) & t_mask) in gamma:
-                target = L.prod2[(fa, fb)]
-                if target not in pos:
-                    raise VerificationFailed(
-                        "restricted product leaves N_L^K(Q)|_Gamma"
-                    )
-                prod2[(ia, ib)] = pos[target]
-
-    # realize T = N_S^K(Q) as the new S-group
-    t_real = L.s_group.as_group(t_mask)
-    t_elems = L.s_group.mask_elements(t_mask)
-    new_s_ids = tuple(pos[L.s_ids[i]] for i in t_elems)
-    delta_new = frozenset(t_real.mask_from_parent(P) for P in gamma)
-    conj_s = []
-    for f in carrier:
-        cmap = {}
-        for ti, i in enumerate(t_elems):
-            j = L.conj_s[f].get(i)
-            if j is None or not ((t_mask >> j) & 1):
-                continue
-            word_mask = L.s_of_word((L.inv[f], L.s_ids[i], f))
-            if (word_mask & t_mask) in gamma:
-                cmap[ti] = t_elems.index(j)
-        conj_s.append(cmap)
-    names = tuple(L.element_label(f) for f in carrier)
-    out = Locality(
-        size=n,
-        inv=inv,
-        prod2=prod2,
-        s_ids=new_s_ids,
-        s_group=t_real.group,
-        delta=delta_new,
-        p=L.p,
-        label=f"N^K_{L.label}({L.s_group.subgroup_label(q_mask)})",
-        elt_names=names,
-        conj_s=tuple(conj_s),
-        source_group=L.source_group,
-        source_ids=tuple(L.source_ids[f] for f in carrier)
-        if L.source_ids is not None
-        else None,
-    )
-    return out, tuple(carrier)
+    label = f"N^K_{L.label}({L.s_group.subgroup_label(q_mask)})"
+    return _sub_locality(L, t_mask, gamma, label, in_carrier)
 
 
 # ---------------------------------------------------------------------------

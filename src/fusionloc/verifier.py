@@ -1156,8 +1156,11 @@ def run_instance_checks(
     subject = inst.instance_id
     out: list[CheckResult] = []
 
+    def selected(r: CheckResult) -> bool:
+        return only is None or fnmatch.fnmatch(r.check_id, only)
+
     def done() -> bool:
-        return fail_fast and any(r.status == "fail" for r in out)
+        return fail_fast and any(r.status == "fail" and selected(r) for r in out)
 
     out.extend(run_group_checks(inst))
     if not done():
@@ -1247,9 +1250,7 @@ def run_instance_checks(
                     )
                 )
 
-    if only is not None:
-        out = [r for r in out if fnmatch.fnmatch(r.check_id, only)]
-    return out
+    return [r for r in out if selected(r)]
 
 
 def run_corpus(

@@ -136,8 +136,9 @@ def test_input_errors(capsys, tmp_path):
         assert code == 3 and "error" in err, (content, code, err)
 
 
-def test_verify_only_subset(capsys, tmp_path, monkeypatch):
-    # patch the corpus to two small instances to keep the CLI test fast
+@pytest.fixture
+def small_corpus(monkeypatch):
+    # patch the corpus to two small instances to keep the CLI tests fast
     from fusionloc.corpus import CorpusEntry
     import fusionloc.verifier as verifier
 
@@ -147,12 +148,23 @@ def test_verify_only_subset(capsys, tmp_path, monkeypatch):
         cli, "run_corpus",
         lambda **kw: verifier.run_corpus(entries=small, **kw),
     )
+
+
+def test_verify_only_subset(capsys, tmp_path, small_corpus):
     out_json = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, ["verify", "--json", str(out_json)])
     assert code == 0
     data = json.loads(out_json.read_text())
     assert data["failures"] == 0
     assert "checks" in data and data["checks"] > 0
+
+
+def test_verify_only_without_match(capsys, small_corpus):
+    # a glob that selects no check is an input error, not an empty success
+    code, out, err = run_cli(capsys, ["verify", "--only", "no-such-check"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "no-such-check" in err
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
+from fusionloc.constructions import nontrivial
 from fusionloc.corpus import builtin_group
 from fusionloc.errors import (
     NotAnObject,
@@ -13,7 +15,14 @@ from fusionloc.errors import (
     ObjectSetMismatch,
 )
 from fusionloc.fusion import full_aut_kset
-from fusionloc.groups import bits, cores, perm_from_cycles, popcount
+from fusionloc.groups import (
+    bits,
+    cores,
+    group_from_permutations,
+    perm_from_cycles,
+    popcount,
+    sylow_p,
+)
 from fusionloc.locality import (
     is_partial_normal,
     k_normalizer_locality,
@@ -25,10 +34,94 @@ from fusionloc.locality import (
     transporter_to_json,
     verify_locality,
 )
+from test_groups import small_perm_groups
 
 
 def g_elem(G, cycles):
     return G.perm_rep[1].index(perm_from_cycles(cycles, G.perm_rep[0]))
+
+
+def reference_locality_fields(G, real, gamma):
+    """The per-element definition of the locality on {g : S cap S^g in Gamma}.
+
+    S_g and S_(a,b) are found by conjugating every element of S, which is
+    independent of the per-element table that ``locality_from_group`` reads.
+    Returns (source_ids, inv, s_ids, prod2, conj_s as item lists).
+    """
+    carrier = []
+    for g in range(G.order):
+        inv_dom = 0
+        for i, x in enumerate(real.to_parent):
+            if real.index_of.get(G.conj(x, G.inv(g))) is not None:
+                inv_dom |= 1 << i
+        if inv_dom in gamma:
+            carrier.append(g)
+    pos = {g: i for i, g in enumerate(carrier)}
+    prod2 = {}
+    for ia, ga in enumerate(carrier):
+        for ib, gb in enumerate(carrier):
+            gab = G.mul(ga, gb)
+            m = 0
+            for i, x in enumerate(real.to_parent):
+                if (
+                    real.index_of.get(G.conj(x, ga)) is not None
+                    and real.index_of.get(G.conj(x, gab)) is not None
+                ):
+                    m |= 1 << i
+            if m in gamma:
+                prod2[(ia, ib)] = pos[gab]
+    conj_s = []
+    for g in carrier:
+        cmap = []
+        for i, x in enumerate(real.to_parent):
+            j = real.index_of.get(G.conj(x, g))
+            if j is not None:
+                cmap.append((i, j))
+        conj_s.append(cmap)
+    inv = tuple(pos[G.inv(g)] for g in carrier)
+    s_ids = tuple(pos[x] for x in real.to_parent)
+    return tuple(carrier), inv, s_ids, prod2, conj_s
+
+
+def locality_fields(L):
+    return (
+        L.source_ids, L.inv, L.s_ids, L.prod2, [list(c.items()) for c in L.conj_s]
+    )
+
+
+@pytest.mark.parametrize(
+    "name,prime",
+    [("S4", 2), ("A5", 2), ("SL23", 3), ("D8", 2), ("C2xS4", 2)],
+)
+def test_locality_from_group_matches_reference(corpus, name, prime):
+    inst = corpus.instance(name, prime)
+    table = inst.fusion.classification_table()
+    object_sets = {
+        "all": nontrivial(frozenset(inst.s_real.group.subgroup_masks())),
+        "centric": frozenset(P for P in inst.fusion.subgroups() if table[P].centric),
+        "delta-star": nontrivial(corpus.deltas(name, prime).delta_star),
+    }
+    for kind, gamma in object_sets.items():
+        L = locality_from_group(
+            inst.group, inst.sylow, gamma, prime, s_real=inst.s_real
+        )
+        expected = reference_locality_fields(inst.group, inst.s_real, gamma)
+        assert locality_fields(L) == expected, kind
+
+
+@given(small_perm_groups())
+@settings(max_examples=15, deadline=None)
+def test_locality_from_group_matches_reference_random(data):
+    degree, gens = data
+    G = group_from_permutations(degree, gens, bound=200)
+    for prime in range(2, G.order + 1):
+        if G.order % prime or any(prime % r == 0 for r in range(2, prime)):
+            continue
+        S = sylow_p(G, prime)
+        real = G.as_group(S.mask)
+        gamma = nontrivial(frozenset(real.group.subgroup_masks()))
+        L = locality_from_group(G, S, gamma, prime, s_real=real)
+        assert locality_fields(L) == reference_locality_fields(G, real, gamma)
 
 
 def test_carrier_oracle_s4(corpus):
@@ -286,6 +379,24 @@ def test_k_normalizer_locality(corpus):
         k_normalizer_locality(L, zd8, K, frozenset([min(gamma)]))
 
 
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_k_normalizer_at_trivial_q_is_restriction(corpus, name):
+    # N_L^K(1) with K trivial lives over T = S and is the restriction to Gamma
+    L = corpus.locality_all(name, 2)
+    L1, incl = k_normalizer_locality(L, 1, frozenset({(0,)}), L.delta)
+    Lr = restriction(L, L.delta)
+    assert L1.s_group is L.s_group and Lr.s_group is L.s_group
+    assert incl == tuple(range(L.size))
+    for field in (
+        "size", "inv", "prod2", "s_ids", "delta", "p", "elt_names",
+        "source_group", "source_ids",
+    ):
+        assert getattr(L1, field) == getattr(Lr, field), field
+    assert [list(c.items()) for c in L1.conj_s] == [
+        list(c.items()) for c in Lr.conj_s
+    ]
+
+
 def test_centralizer_group(corpus):
     inst = corpus.instance("S4", 2)
     L = corpus.locality_all("S4", 2)
@@ -413,8 +524,6 @@ def test_one_object_degenerate_locality():
     # a characteristic-p group with Delta = {S}: the transporter category of
     # N_G(S) on one object
     G = builtin_group("S4")
-    from fusionloc.groups import sylow_p
-
     S = sylow_p(G, 2)
     real = G.as_group(S.mask)
     L = locality_from_group(G, S, frozenset([real.group.full_mask]), 2, s_real=real)

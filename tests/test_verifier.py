@@ -10,6 +10,7 @@ from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builti
 from fusionloc.fusion import FusionSystem, abstract_fusion, subsystem_from_normal_subgroup
 from fusionloc.groups import p_part, popcount
 from fusionloc.verifier import (
+    CheckResult,
     CorpusReport,
     check_index_subsystem,
     fusion_wellformed_witness,
@@ -144,6 +145,26 @@ def test_only_filter():
     report = run_corpus(entries=(CorpusEntry("S3", 2),), only="inclusion-*")
     assert report.results
     assert all(r.check_id.startswith("inclusion-") for r in report.results)
+
+
+def test_fail_fast_ignores_unselected_failures(monkeypatch):
+    # a failure outside the --only selection must not stop the instance
+    # before the selected checks run
+    import fusionloc.verifier as verifier
+
+    def failing_group_checks(inst):
+        return [
+            CheckResult(
+                "group-local-characteristic", inst.instance_id, "fail", witness="forced"
+            )
+        ]
+
+    monkeypatch.setattr(verifier, "run_group_checks", failing_group_checks)
+    entries = (CorpusEntry("S3", 2),)
+    plain = run_corpus(entries=entries, only="inclusion-*")
+    fast = run_corpus(entries=entries, only="inclusion-*", fail_fast=True)
+    assert [r.check_id for r in plain.results] == ["inclusion-chain"]
+    assert fast.results == plain.results
 
 
 def test_report_serialization_shape():
