@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from .constructions import delta_sets, nontrivial, theta_quotient
-from .corpus import BUILTINS, builtin_group
+from .corpus import BUILTINS, DEFAULT_CORPUS, builtin_group
 from .errors import FusionlocError, ParseError, VerificationFailed
 from .fusion import fusion_from_group
 from .groups import (
@@ -208,12 +208,12 @@ def _load_supplied_subsystems(path: str) -> dict:
         raise ParseError(f"cannot read subsystem file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("subsystem file must map instance ids to lists of specs")
+    names = {f"{e.name}@p{e.prime}": e.name for e in DEFAULT_CORPUS}
     out: dict[str, list[tuple[int, str]]] = {}
     for instance_id, entries in raw.items():
-        name = instance_id.split("@")[0]
-        G = builtin_group(name)
-        if G.perm_rep is None:
-            raise ParseError("subsystem input needs a permutation group")
+        if instance_id not in names:
+            raise ParseError(f"{instance_id!r} is not a corpus instance id")
+        G = builtin_group(names[instance_id])
         degree, perms = G.perm_rep
         index = {perm: i for i, perm in enumerate(perms)}
         if not isinstance(entries, list):

@@ -37,7 +37,6 @@ from .groups import (
     bits,
     cores,
     group_from_elements,
-    is_prime,
     o_p_mask,
     p_part,
     popcount,
@@ -298,7 +297,6 @@ class FusionSystem:
         self.maps_from = maps_from
         self.provenance = provenance
         self.label = label
-        self._image_cache: dict[tuple[int, Morphism], int] = {}
         self._classes: Optional[tuple[FClassData, ...]] = None
         self._class_of: dict[int, FClassData] = {}
         self._saturated: Optional[bool] = None
@@ -317,12 +315,7 @@ class FusionSystem:
         return self.base.subgroups_of(self.carrier)
 
     def img(self, dom: int, images: Morphism) -> int:
-        key = (dom, images)
-        got = self._image_cache.get(key)
-        if got is None:
-            got = image_mask(images)
-            self._image_cache[key] = got
-        return got
+        return image_mask(images)
 
     def hom(self, P: int, Q: int) -> tuple[Morphism, ...]:
         return tuple(
@@ -805,8 +798,6 @@ def fusion_from_group(
     s_real: Optional[RealizedSubgroup] = None,
 ) -> FusionSystem:
     """The fusion system of G on its Sylow p-subgroup S."""
-    if not is_prime(p):
-        raise FusionlocError(f"{p} is not prime")
     if S.group is not G:
         raise NotSylow("S belongs to a different group")
     if popcount(S.mask) != p_part(G.order, p):

@@ -23,6 +23,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    FusionlocError,
     InvalidPermutation,
     NotASubgroup,
     NotNormal,
@@ -136,6 +137,8 @@ def popcount(mask: int) -> int:
 
 
 def p_part(n: int, p: int) -> int:
+    if not is_prime(p):
+        raise FusionlocError(f"{p} is not prime")
     pk = 1
     while n % (pk * p) == 0:
         pk *= p

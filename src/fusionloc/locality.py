@@ -49,7 +49,7 @@ WORD_SEED = 0
 
 
 class Locality:
-    """A finite locality (L, Delta, S)."""
+    """A finite locality (L, Delta, S); ``prod2`` and ``conj_s`` never change in place."""
 
     def __init__(
         self,
@@ -80,8 +80,9 @@ class Locality:
         self.source_group = source_group
         self.source_ids = source_ids
         self.conj_s = conj_s
-        self._s_of: dict[int, int] = {}
+        self._s_of = tuple(sum(1 << i for i in cmap) for cmap in conj_s)
         self._fusion: Optional[FusionSystem] = None
+        self._axioms: Optional[LocalityAxiomReport] = None
         self._norm_groups: dict[int, tuple[FiniteGroup, tuple[int, ...]]] = {}
 
     # -- basic structure -----------------------------------------------------
@@ -95,13 +96,7 @@ class Locality:
 
     def s_of(self, f: int) -> int:
         """S_f as a mask over s_group indices."""
-        got = self._s_of.get(f)
-        if got is None:
-            got = 0
-            for i in self.conj_s[f]:
-                got |= 1 << i
-            self._s_of[f] = got
-        return got
+        return self._s_of[f]
 
     def s_of_word(self, word: Sequence[int]) -> int:
         """S_w as a mask over s_group indices; the empty word gives S."""
@@ -436,8 +431,11 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     under ``WORD_CAP`` and are otherwise sampled, and length-4 words are
     sampled, all with seed ``WORD_SEED``.  The converse of the domain rule
     at length >= 3 ("fold defined implies word in domain") is not an axiom
-    of partial groups and is not checked.
+    of partial groups and is not checked.  The report is kept on ``L`` and
+    returned by later calls.
     """
+    if L._axioms is not None:
+        return L._axioms
     checks: list[AxiomCheck] = []
     rng = random.Random(WORD_SEED)
     n = L.size
@@ -630,7 +628,8 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
             break
     check("conjugation-matches-folds", bad is None, str(bad))
 
-    return LocalityAxiomReport(checks=tuple(checks))
+    L._axioms = LocalityAxiomReport(checks=tuple(checks))
+    return L._axioms
 
 
 def _bracketings_4():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import fnmatch
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .constructions import (
@@ -1183,13 +1183,20 @@ def run_instance_checks(
                 "group is of characteristic p-type but its fusion system is not",
             )
         )
-        base = inst.s_real.group
-        all_objects = nontrivial(frozenset(base.subgroup_masks()))
-        L_all = locality_from_group(
-            inst.group, inst.sylow, all_objects, inst.prime,
-            label=f"L_all({inst.entry.name})", s_real=inst.s_real,
-        )
+        all_objects = nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
         table = inst.fusion.classification_table()
+        # the centric-objects locality exercises the Delta <= F^c checks
+        centric_objects = frozenset(
+            P for P in inst.fusion.subgroups() if table[P].centric
+        )
+        # equal object sets give the same locality: build each one once
+        localities = {td.locality.delta: td.locality}
+        for gamma in (all_objects, centric_objects):
+            if gamma not in localities:
+                localities[gamma] = locality_from_group(
+                    inst.group, inst.sylow, gamma, inst.prime, s_real=inst.s_real
+                )
+        L_all = localities[all_objects]
         if group_cpt:
             subc_nontrivial = {
                 P for P in inst.fusion.subgroups() if P != 1 and table[P].subcentric
@@ -1211,21 +1218,18 @@ def run_instance_checks(
             out.append(
                 _skip("char-p-type-locality", subject, "group not of characteristic p-type")
             )
-        # the centric-objects locality exercises the Delta <= F^c checks
-        centric_objects = frozenset(
-            P for P in inst.fusion.subgroups() if table[P].centric
-        )
-        L_c = locality_from_group(
-            inst.group, inst.sylow, centric_objects, inst.prime,
-            label=f"L_c({inst.entry.name})", s_real=inst.s_real,
-        )
+        L_c = localities[centric_objects]
         stages = [("/L-all", L_all), ("/L-centric", L_c), ("/L-delta*", td.locality)]
         if td.quotient is not td.locality:
             stages.append(("/L-theta-quot", td.quotient))
+        # check each distinct locality once; report its rows under every stage
+        checked: dict[Locality, list[CheckResult]] = {}
         for suffix, L in stages:
             if done():
                 break
-            out.extend(run_locality_checks(L, subject + suffix))
+            if L not in checked:
+                checked[L] = run_locality_checks(L, subject)
+            out.extend(replace(r, subject=subject + suffix) for r in checked[L])
         if not done() and td.quotient_data is not None:
             out.extend(
                 run_quotient_checks(td.quotient_data, subject + "/L-theta-quot")

@@ -120,9 +120,17 @@ def test_input_errors(capsys, tmp_path):
         ["build", "--builtin", "S4", "--prime", "2", "--objects", "all", "--quotient-theta"],
     )
     assert code == 3
+    # a --prime that is not prime
+    for command in ("classify", "build"):
+        for prime in ("0", "4", "9"):
+            code, _, err = run_cli(capsys, [command, "--builtin", "S4", "--prime", prime])
+            assert code == 3 and "not prime" in err, (command, prime, code, err)
     # malformed subsystem files and group files
+    a4_spec = {"normal": [[[1, 2, 3]], [[2, 3, 4]]], "kind": "p-power"}
     malformed = [
         ("verify", "--subsystems", [{"normal": [], "kind": "p-power"}]),
+        # a valid A4 spec under a key that names no corpus instance
+        ("verify", "--subsystems", {"S4@2": [a4_spec]}),
         ("verify", "--subsystems", {"S4@p2": [{"kind": "p-power"}]}),
         ("verify", "--subsystems", {"S4@p2": [{"normal": [[[1, 2, 3]]], "kind": "index-2"}]}),
         ("classify", "--file", {"name": "X", "table": [1, 2]}),

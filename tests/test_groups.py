@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionloc.errors import (
+    FusionlocError,
     InvalidPermutation,
     NotNormal,
     OrderBoundExceeded,
@@ -35,6 +36,13 @@ def test_closure_orders():
     assert group_from_permutations(4, [[[1, 2, 3, 4]], [[1, 2]]]).order == 24
     assert group_from_permutations(5, [[[1, 2, 3, 4, 5]], [[1, 2, 3]]]).order == 60
     assert group_from_permutations(1, []).order == 1
+
+
+def test_p_part_rejects_non_primes():
+    assert p_part(24, 2) == 8 and p_part(24, 5) == 1
+    for p in (1, 0, 4, 9):
+        with pytest.raises(FusionlocError, match="not prime"):
+            p_part(24, p)
 
 
 def test_identity_is_index_zero():

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from fusionloc.constructions import nontrivial, theta_quotient
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
 from fusionloc.fusion import FusionSystem, abstract_fusion, subsystem_from_normal_subgroup
 from fusionloc.groups import p_part, popcount
+from fusionloc.locality import locality_from_group, verify_locality
 from fusionloc.verifier import (
     CheckResult,
     CorpusReport,
@@ -102,6 +104,60 @@ def test_mutation_sensitivity_sample(corpus):
             assert fusion_wellformed_witness(E) is None, E.label
             for desc, mutated in mutate_fusion(E, seed=99, count=10):
                 assert mutation_detected_fusion(mutated), (E.label, desc)
+
+
+def rebuilt_stage_rows(inst):
+    """The locality-stage rows with each stage's locality built afresh and
+    checked on its own, as before equal localities were shared."""
+    subject = inst.instance_id
+    td = theta_quotient(inst.group, inst.sylow, inst.prime)
+    table = inst.fusion.classification_table()
+    stages = (
+        ("/L-all", nontrivial(frozenset(inst.s_real.group.subgroup_masks()))),
+        ("/L-centric", frozenset(P for P in inst.fusion.subgroups() if table[P].centric)),
+        ("/L-delta*", td.locality.delta),
+    )
+    rows = []
+    for suffix, gamma in stages:
+        L = locality_from_group(inst.group, inst.sylow, gamma, inst.prime, s_real=inst.s_real)
+        rows += run_locality_checks(L, subject + suffix)
+    if td.quotient is not td.locality:
+        rows += run_locality_checks(td.quotient, subject + "/L-theta-quot")
+    return rows
+
+
+# SL23@p3: the all, centric and Delta* sets agree and Theta is nontrivial;
+# S4@p2: the centric set differs from the other two
+@pytest.mark.parametrize("name, prime", [("SL23", 3), ("S4", 2)])
+def test_equal_localities_checked_once(monkeypatch, name, prime):
+    import fusionloc.verifier as verifier
+
+    checked = []
+
+    def counting_locality_checks(L, subject):
+        checked.append(L)
+        return run_locality_checks(L, subject)
+
+    monkeypatch.setattr(verifier, "run_locality_checks", counting_locality_checks)
+    inst = build_instance(CorpusEntry(name, prime))
+    rows = run_instance_checks(inst)
+    assert len(checked) == 2
+    monkeypatch.undo()
+    expected = rebuilt_stage_rows(inst)
+    start = [r.check_id for r in rows].index("char-p-type-locality") + 1
+    assert rows[start : start + len(expected)] == expected
+    stage_keys = {(r.check_id, r.subject) for r in expected}
+    rest = rows[:start] + rows[start + len(expected) :]
+    assert not any((r.check_id, r.subject) in stage_keys for r in rest)
+
+
+def test_axiom_report_kept_on_locality(corpus):
+    L = corpus.locality_all("S4", 2)
+    report = verify_locality(L)
+    assert report.ok and verify_locality(L) is report
+    # mutated copies are new localities and are verified from scratch
+    for desc, mutated in mutate_locality(L, seed=99, count=10):
+        assert mutation_detected_locality(mutated), desc
 
 
 def test_supplied_index_subsystems(corpus):
