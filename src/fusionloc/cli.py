@@ -234,6 +234,8 @@ def _load_supplied_subsystems(path: str) -> dict:
                     raise ParseError("generator not an element of the group")
                 gens |= 1 << index[perm]
             n_mask = G.closure_mask(gens | 1)
+            if not G.is_normal_mask(n_mask):
+                raise ParseError(f"{instance_id}: 'normal' is not a normal subgroup")
             lst.append((n_mask, spec["kind"]))
         out[instance_id] = lst
     return out

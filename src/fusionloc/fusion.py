@@ -66,7 +66,12 @@ class NormalSubgroupProvenance:
 
 @dataclass(frozen=True)
 class LocalityProvenance:
-    locality: object
+    """F_S(L)'s generators c_f on S_f; holds no reference to L, so no cycle."""
+
+    s_group: FiniteGroup
+    p: int
+    label: str
+    generators: tuple[tuple[int, Morphism], ...]
 
 
 @dataclass(frozen=True)
@@ -850,6 +855,15 @@ def abstract_fusion(
         maps,
         AbstractProvenance(generators=tuple(generators)),
         label=label,
+    )
+
+
+def locality_fusion(prov: LocalityProvenance) -> FusionSystem:
+    """F_S(L), closed from the conjugation maps recorded in ``prov``."""
+    base = prov.s_group
+    maps = close_morphism_sets(base, base.full_mask, prov.generators)
+    return FusionSystem(
+        base, base.full_mask, prov.p, maps, prov, label=f"F_S({prov.label})"
     )
 
 

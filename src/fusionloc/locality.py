@@ -6,7 +6,8 @@ p-subgroup S realized as a standalone group, and the object set Delta given
 as bitmasks over S.
 
 The word domain is intensional: a word ``w`` lies in the domain iff ``S_w``
-(computed by chaining the per-element conjugation maps on S) is in Delta.
+(computed right to left as preimages under the per-element conjugation maps
+on S) is in Delta.
 Only binary products are stored; products of longer domain words are left
 folds of the binary product.  Constructors populate the binary product with
 exactly the pairs whose two-letter word is in the domain, and the verifier
@@ -29,7 +30,7 @@ from .errors import (
     ObjectSetMismatch,
     VerificationFailed,
 )
-from .fusion import FusionSystem, LocalityProvenance, close_morphism_sets
+from .fusion import FusionSystem, LocalityProvenance, locality_fusion
 from .groups import (
     FiniteGroup,
     RealizedSubgroup,
@@ -83,6 +84,9 @@ class Locality:
         self._s_of = tuple(sum(1 << i for i in cmap) for cmap in conj_s)
         self._fusion: Optional[FusionSystem] = None
         self._axioms: Optional[LocalityAxiomReport] = None
+        # memos; sound because prod2 and conj_s never change in place
+        self._preimages: dict[tuple[int, int], int] = {}
+        self._normalizers: dict[int, tuple[int, ...]] = {}
         self._norm_groups: dict[int, tuple[FiniteGroup, tuple[int, ...]]] = {}
 
     # -- basic structure -----------------------------------------------------
@@ -98,16 +102,27 @@ class Locality:
         """S_f as a mask over s_group indices."""
         return self._s_of[f]
 
-    def s_of_word(self, word: Sequence[int]) -> int:
-        """S_w as a mask over s_group indices; the empty word gives S."""
-        pairs = [(i, i) for i in range(len(self.s_ids))]
-        for g in word:
-            cmap = self.conj_s[g]
-            pairs = [(a, cmap[b]) for a, b in pairs if b in cmap]
-        out = 0
-        for a, _ in pairs:
-            out |= 1 << a
+    def preimage(self, g: int, mask: int) -> int:
+        """{i in S_g : c_g(i) in mask}, memoised per (g, mask)."""
+        key = (g, mask)
+        out = self._preimages.get(key)
+        if out is None:
+            out = 0
+            for i, j in self.conj_s[g].items():
+                if mask >> j & 1:
+                    out |= 1 << i
+            self._preimages[key] = out
         return out
+
+    def s_of_word(self, word: Sequence[int]) -> int:
+        """S_w as a mask over s_group indices; the empty word gives S.
+
+        Right to left: S_(g, w') is the preimage of S_w' under c_g.
+        """
+        mask = self.s_group.full_mask
+        for g in reversed(word):
+            mask = self.preimage(g, mask)
+        return mask
 
     def word_in_domain(self, word: Sequence[int]) -> bool:
         if any(not (0 <= x < self.size) for x in word):
@@ -152,12 +167,13 @@ class Locality:
     # -- normalizers and centralizers -----------------------------------------
 
     def normalizer_ids(self, mask: int) -> tuple[int, ...]:
-        out = []
-        for f in range(self.size):
-            img = self.conj_mask(mask, f)
-            if img == mask:
-                out.append(f)
-        return tuple(out)
+        out = self._normalizers.get(mask)
+        if out is None:
+            out = tuple(
+                f for f in range(self.size) if self.conj_mask(mask, f) == mask
+            )
+            self._normalizers[mask] = out
+        return out
 
     def centralizer_ids(self, mask: int) -> tuple[int, ...]:
         out = []
@@ -220,15 +236,8 @@ class Locality:
             cmap = self.conj_s[f]
             dom = self.s_of(f)
             gens.append((dom, tuple(cmap[i] for i in bits(dom))))
-        maps = close_morphism_sets(self.s_group, self.s_group.full_mask, gens)
-        return FusionSystem(
-            self.s_group,
-            self.s_group.full_mask,
-            self.p,
-            maps,
-            LocalityProvenance(locality=self),
-            label=f"F_S({self.label})",
-        )
+        prov = LocalityProvenance(self.s_group, self.p, self.label, tuple(gens))
+        return locality_fusion(prov)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -459,11 +468,11 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
             break
     check("identity-laws", bad is None, f"element {bad}" if bad is not None else None)
 
-    # binary domain rule, both directions
+    # binary domain rule, both directions; S_(a,b) is the preimage of S_b under c_a
     bad = None
     for a in range(n):
         for b in range(n):
-            indom = L.s_of_word((a, b)) in L.delta
+            indom = L.preimage(a, L.s_of(b)) in L.delta
             stored = (a, b) in L.prod2
             if indom != stored:
                 bad = (a, b, "missing" if indom else "extra")
@@ -488,20 +497,22 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
                 break
     check("cancellation", bad is None, str(bad))
 
-    # word-domain rule and associativity at length 3 (capped)
-    triples: Iterable[tuple[int, int, int]]
+    # word-domain rule and associativity at length 3 (capped); pairs (w, S_w),
+    # the exhaustive words sharing S_(b,c) across a
+    triples: Iterable[tuple[tuple[int, int, int], int]]
     if n**3 <= WORD_CAP:
+        suffixes = [(b, c, L.s_of_word((b, c))) for b in range(n) for c in range(n)]
         triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            ((a, b, c), L.preimage(a, m)) for a in range(n) for b, c, m in suffixes
         )
     else:
-        triples = (
+        sampled = (
             (rng.randrange(n), rng.randrange(n), rng.randrange(n))
             for _ in range(WORD_CAP // 10)
         )
+        triples = ((w, L.s_of_word(w)) for w in sampled)
     bad = None
-    for w in triples:
-        sw = L.s_of_word(w)
+    for w, sw in triples:
         if not L.s_group.is_subgroup_mask(sw):
             bad = (w, "S_w is not a subgroup")
             break

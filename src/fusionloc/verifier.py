@@ -36,6 +36,7 @@ from .fusion import (
     fusion_from_group,
     image_mask,
     is_constrained,
+    locality_fusion,
     normal_ksets,
     quotient_mod_central,
     restrict_map,
@@ -170,7 +171,7 @@ def regenerate(F: FusionSystem) -> Optional[FusionSystem]:
             return subsystem_from_normal_subgroup(ambient, prov.n_mask).fusion
         return ambient
     if isinstance(prov, LocalityProvenance):
-        return prov.locality.build_fusion_system()
+        return locality_fusion(prov)
     if isinstance(prov, AbstractProvenance):
         return abstract_fusion(F.base, F.p, prov.generators, label=F.label)
     return None

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,17 @@ def run_cli(capsys, args):
     code = cli.main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_python_m_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionloc", "list-builtins"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "S4: degree 4" in proc.stdout
 
 
 def test_classify_s4(capsys):
@@ -110,7 +124,7 @@ def test_build_deterministic(capsys, tmp_path):
     ).read_bytes()
 
 
-def test_input_errors(capsys, tmp_path):
+def test_input_errors(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, ["classify", "--builtin", "NoSuch", "--prime", "2"])
     assert code == 3 and "error" in err
     code, _, _ = run_cli(capsys, ["classify", "--prime", "2"])
@@ -133,9 +147,16 @@ def test_input_errors(capsys, tmp_path):
         ("verify", "--subsystems", {"S4@2": [a4_spec]}),
         ("verify", "--subsystems", {"S4@p2": [{"kind": "p-power"}]}),
         ("verify", "--subsystems", {"S4@p2": [{"normal": [[[1, 2, 3]]], "kind": "index-2"}]}),
+        # a subgroup that is not normal in G, rejected before any check runs
+        ("verify", "--subsystems", {"SL23@p2": [{"normal": [[[3, 4, 5], [6, 8, 7]]], "kind": "p-power"}]}),
         ("classify", "--file", {"name": "X", "table": [1, 2]}),
         ("classify", "--file", {"name": "X", "degree": 3, "generators": [[1, 2]]}),
     ]
+    # a malformed subsystem file is rejected while loading, before any check runs
+    def no_checks(**kwargs):
+        raise AssertionError("checks ran on a malformed subsystem file")
+
+    monkeypatch.setattr(cli, "run_corpus", no_checks)
     for i, (command, flag, content) in enumerate(malformed):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(content))

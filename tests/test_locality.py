@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from fusionloc.constructions import nontrivial
 from fusionloc.corpus import builtin_group
@@ -14,7 +17,7 @@ from fusionloc.errors import (
     NotPartialNormal,
     ObjectSetMismatch,
 )
-from fusionloc.fusion import full_aut_kset
+from fusionloc.fusion import full_aut_kset, fusion_from_group
 from fusionloc.groups import (
     bits,
     cores,
@@ -34,6 +37,7 @@ from fusionloc.locality import (
     transporter_to_json,
     verify_locality,
 )
+from fusionloc.verifier import regenerate
 from test_groups import small_perm_groups
 
 
@@ -122,6 +126,94 @@ def test_locality_from_group_matches_reference_random(data):
         gamma = nontrivial(frozenset(real.group.subgroup_masks()))
         L = locality_from_group(G, S, gamma, prime, s_real=real)
         assert locality_fields(L) == reference_locality_fields(G, real, gamma)
+
+
+def reference_s_of_word(L, word):
+    """S_w by carrying the pairs (a, image of a so far) through w left to right.
+
+    Independent of the right-to-left preimage kernel and its memo.
+    """
+    pairs = [(i, i) for i in range(len(L.s_ids))]
+    for g in word:
+        cmap = L.conj_s[g]
+        pairs = [(a, cmap[b]) for a, b in pairs if b in cmap]
+    out = 0
+    for a, _ in pairs:
+        out |= 1 << a
+    return out
+
+
+def check_word_kernel(L, raw_words):
+    """s_of_word against the reference, as the memo fills and once it is warm;
+    normalizer_ids against a scan of the carrier for every subgroup of S."""
+    words = [tuple(x % L.size for x in w) for w in raw_words]
+    expected = [reference_s_of_word(L, w) for w in words]
+    assert [L.s_of_word(w) for w in words] == expected
+    assert [L.s_of_word(w) for w in words] == expected
+    for P in L.s_group.subgroup_masks():
+        scan = tuple(f for f in range(L.size) if L.conj_mask(P, f) == P)
+        assert L.normalizer_ids(P) == scan
+        assert L.normalizer_ids(P) == scan
+
+
+word_lists = st.lists(
+    st.lists(st.integers(min_value=0, max_value=10_000), max_size=5),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(small_perm_groups(), word_lists)
+@settings(max_examples=20, deadline=None)
+def test_s_of_word_matches_reference_random(data, raw_words):
+    degree, gens = data
+    G = group_from_permutations(degree, gens, bound=200)
+    for prime in range(2, G.order + 1):
+        if G.order % prime or any(prime % r == 0 for r in range(2, prime)):
+            continue
+        S = sylow_p(G, prime)
+        real = G.as_group(S.mask)
+        F = fusion_from_group(G, S, prime, s_real=real)
+        table = F.classification_table()
+        object_sets = (
+            nontrivial(frozenset(real.group.subgroup_masks())),
+            frozenset(P for P in F.subgroups() if table[P].centric),
+        )
+        for gamma in object_sets:
+            L = locality_from_group(G, S, gamma, prime, s_real=real)
+            check_word_kernel(L, raw_words)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_s_of_word_matches_reference_corpus(corpus, name):
+    inst = corpus.instance(name, 2)
+    gamma = nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
+    L = locality_from_group(inst.group, inst.sylow, gamma, 2, s_real=inst.s_real)
+
+    @given(word_lists)
+    @settings(max_examples=40, deadline=None)
+    def run(raw_words):
+        check_word_kernel(L, raw_words)
+
+    run()
+
+
+def test_locality_freed_without_collector(corpus):
+    # F_S(L) records L's generators, not L, so L and its cached fusion
+    # system form no reference cycle
+    inst = corpus.instance("S4", 2)
+    gamma = nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
+    gc.disable()
+    try:
+        L = locality_from_group(inst.group, inst.sylow, gamma, 2, s_real=inst.s_real)
+        F = L.fusion_system()
+        assert verify_locality(L).ok
+        ref = weakref.ref(L)
+        del L
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert regenerate(F).maps_from == F.maps_from
 
 
 def test_carrier_oracle_s4(corpus):
