@@ -19,7 +19,9 @@ import json
 import random
 from array import array
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
+from operator import itemgetter
+from struct import Struct
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -33,6 +35,10 @@ from .errors import (
 
 DEFAULT_ORDER_BOUND = 5040
 ORDER_BOUND_ENV = "FUSIONLOC_ORDER_BOUND"
+# Largest Cayley table an order bound may admit: 4 bytes per entry, so the
+# order is at most isqrt(MAX_TABLE_BYTES // 4) = 8192 (the default 5040 needs
+# about 100 MB, and M11 at order 7920 still fits).
+MAX_TABLE_BYTES = 256 * 2**20
 
 Perm = tuple  # 0-based image tuple
 
@@ -49,6 +55,12 @@ def order_bound() -> int:
         raise ParseError(f"bad {ORDER_BOUND_ENV} value: {raw!r}") from exc
     if value < 1:
         raise ParseError(f"{ORDER_BOUND_ENV} must be positive")
+    if value * value * array("i").itemsize > MAX_TABLE_BYTES:
+        raise ParseError(
+            f"{ORDER_BOUND_ENV}={value} admits a multiplication table over the "
+            f"{MAX_TABLE_BYTES // 2**20} MiB maximum "
+            f"(order at most {isqrt(MAX_TABLE_BYTES // array('i').itemsize)})"
+        )
     return value
 
 
@@ -159,10 +171,29 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _flat_table(table: array | Sequence[Sequence[int]]) -> array:
+    """The row-major ``array('i')`` of a table given flat or as rows."""
+    if isinstance(table, array):
+        return table
+    n = len(table)
+    flat = array("i")
+    for row in table:
+        if len(row) != n:
+            raise ParseError("multiplication table is not square")
+        if not set(map(type, row)) <= {int}:  # bool and float are not entries
+            raise ParseError("multiplication table entries must be integers")
+        try:
+            flat.extend(row)
+        except OverflowError:
+            raise ParseError("multiplication table entry outside 0..n-1") from None
+    return flat
+
+
 class FiniteGroup:
     """A finite group on indices 0..order-1 with a full Cayley table.
 
-    ``table`` is row-major: ``table[a][b] = mul(a, b)``.  Index 0 must be a
+    ``table`` is either a sequence of rows or the row-major ``array('i')`` of
+    all n*n entries: ``mul(a, b)`` is row a, column b.  Index 0 must be a
     two-sided identity and every element must have a two-sided inverse.
     Associativity is checked on a seeded sample of triples, or exhaustively
     up to order 512 with ``check="auto"``.
@@ -170,7 +201,7 @@ class FiniteGroup:
 
     def __init__(
         self,
-        table: Sequence[Sequence[int]],
+        table: array | Sequence[Sequence[int]],
         label: str = "G",
         perm_rep: Optional[tuple[int, tuple[Perm, ...]]] = None,
         element_names: Optional[tuple[str, ...]] = None,
@@ -178,33 +209,34 @@ class FiniteGroup:
     ) -> None:
         if check not in ("sampled", "auto"):
             raise ValueError(f"unknown check mode {check!r}")
-        n = len(table)
+        flat = _flat_table(table)
+        n = isqrt(len(flat))
         if n == 0:
             raise ParseError("empty multiplication table")
-        flat = array("i")
-        for row in table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
-                raise ParseError("multiplication table is not square over 0..n-1")
-            flat.extend(row)
+        if n * n != len(flat):
+            raise ParseError("multiplication table is not square")
+        # read as unsigned, a negative entry is past every valid index
+        with memoryview(flat) as view, view.cast("B").cast("I") as unsigned:
+            if max(unsigned) >= n:
+                raise ParseError("multiplication table entry outside 0..n-1")
         self.order = n
         self.label = label
         self._flat = flat
         self.perm_rep = perm_rep
         self.element_names = element_names
         # identity and inverses
+        ramp = array("i", range(n))
+        if flat[:n] != ramp or flat[::n] != ramp:
+            raise ParseError("index 0 is not a two-sided identity")
+        inv = []
         for a in range(n):
-            if flat[a] != a or flat[a * n] != a:
-                raise ParseError("index 0 is not a two-sided identity")
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if flat[a * n + b] == 0:
-                    if flat[b * n + a] != 0:
-                        raise ParseError(f"element {a} has no two-sided inverse")
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ParseError(f"element {a} has no inverse")
+            try:
+                b = flat.index(0, a * n, a * n + n) - a * n
+            except ValueError:
+                raise ParseError(f"element {a} has no inverse") from None
+            if flat[b * n + a] != 0:
+                raise ParseError(f"element {a} has no two-sided inverse")
+            inv.append(b)
         self._inv = tuple(inv)
         if perm_rep is not None:
             degree, perms = perm_rep
@@ -218,12 +250,14 @@ class FiniteGroup:
         # caches
         self._mask_elems: dict[int, tuple[int, ...]] = {}
         self._closure: dict[int, int] = {}
+        self._generators: dict[int, tuple[int, ...]] = {}
         self._is_subgroup: dict[int, bool] = {}
         self._subgroups: Optional[tuple[int, ...]] = None
         self._maximal: dict[int, tuple[int, ...]] = {}
         self._sylow: dict[int, int] = {}
         self._realized: dict[int, "RealizedSubgroup"] = {}
         self._normals: Optional[tuple[int, ...]] = None
+        self._class_reps: Optional[tuple[int, ...]] = None
         self._elt_order: dict[int, int] = {}
         # K-normalizer fusion systems over this group, interned by
         # ``FusionSystem.local_subsystem`` on (carrier, p, morphism sets)
@@ -266,10 +300,11 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
+        gens = self.generators()
         return all(
             self.mul(a, b) == self.mul(b, a)
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
+            for i, a in enumerate(gens)
+            for b in gens[i + 1 :]
         )
 
     def exponent(self) -> int:
@@ -328,29 +363,66 @@ class FiniteGroup:
             self._mask_elems[mask] = got
         return got
 
+    def span(self, gens: Sequence[int]) -> int:
+        """The subgroup generated by ``gens``: BFS over right multiplication.
+
+        Finiteness makes the closure under products already a subgroup, so
+        the inverses of ``gens`` need not be listed.
+        """
+        flat, n = self._flat, self.order
+        members = [0]
+        seen = {0}
+        for a in members:  # grows while it is walked
+            row = a * n
+            for g in gens:
+                c = flat[row + g]
+                if c not in seen:
+                    seen.add(c)
+                    members.append(c)
+        out = 0
+        for c in members:
+            out |= 1 << c
+        return out
+
     def closure_mask(self, mask: int) -> int:
         """Subgroup generated by the elements of mask."""
         got = self._closure.get(mask)
-        if got is not None:
-            return got
-        members = 1  # identity
-        frontier = [0]
-        gens = self.mask_elements(mask | 1)
-        seen = {0}
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    c = self.mul(a, g)
-                    if c not in seen:
-                        seen.add(c)
-                        members |= 1 << c
-                        nxt.append(c)
-            frontier = nxt
-        # gens may not include inverses explicitly, but finiteness makes the
-        # closure under products already a subgroup.
-        self._closure[mask] = members
-        return members
+        if got is None:
+            got = self._closure[mask] = self.span(self.mask_elements(mask | 1))
+        return got
+
+    def _grow_generators(self, mask: int) -> tuple[list[int], int]:
+        """A greedy generating list for the elements of ``mask``, and its span.
+
+        Each member outside the span so far is appended, and the span is
+        rebuilt from the list, until the span is ``mask`` or the members run out.
+        """
+        gens: list[int] = []
+        have = 1
+        for x in bits(mask):
+            if not (have >> x) & 1:
+                gens.append(x)
+                have = self.span(gens)
+                if have == mask:
+                    break
+        return gens, have
+
+    def mask_generators(self, mask: int) -> tuple[int, ...]:
+        """A small deterministic generating set for a subgroup mask.
+
+        Raises ``NotASubgroup`` when ``mask`` is not a subgroup.
+        """
+        got = self._generators.get(mask)
+        if got is None:
+            gens, have = self._grow_generators(mask)
+            if have != mask:
+                raise NotASubgroup(f"mask {mask} is not a subgroup of {self.label}")
+            got = self._generators[mask] = tuple(gens)
+        return got
+
+    def generators(self) -> tuple[int, ...]:
+        """A small deterministic generating set of the whole group."""
+        return self.mask_generators(self.full_mask)
 
     def conjugate_mask(self, mask: int, g: int) -> int:
         out = 0
@@ -359,17 +431,24 @@ class FiniteGroup:
         return out
 
     def normalizer_mask(self, mask: int) -> int:
+        """N_G(H) for a subgroup mask H: g with x^g in H for each generator x."""
+        gens = self.mask_generators(mask)
+        flat, n, inv = self._flat, self.order, self._inv
         out = 0
-        for g in range(self.order):
-            if self.conjugate_mask(mask, g) == mask:
+        for g in range(n):
+            row = inv[g] * n
+            if all((mask >> flat[flat[row + x] * n + g]) & 1 for x in gens):
                 out |= 1 << g
         return out
 
     def centralizer_mask(self, mask: int) -> int:
+        """C_G(H) for a subgroup mask H: g commuting with each generator."""
+        gens = self.mask_generators(mask)
+        flat, n = self._flat, self.order
         out = 0
-        elems = self.mask_elements(mask)
-        for g in range(self.order):
-            if all(self.conj(x, g) == x for x in elems):
+        for g in range(n):
+            row = g * n
+            if all(flat[x * n + g] == flat[row + x] for x in gens):
                 out |= 1 << g
         return out
 
@@ -387,22 +466,64 @@ class FiniteGroup:
         return got
 
     def is_normal_mask(self, mask: int) -> bool:
+        """Whether a subgroup mask is normal: every conjugate of one of its
+        generators by a generator of G lies in it."""
         return all(
-            self.conjugate_mask(mask, g) == mask for g in range(self.order)
+            (mask >> self.conj(x, s)) & 1
+            for x in self.mask_generators(mask)
+            for s in self.generators()
         )
 
+    def _orbit(self, start: int, act: Callable[[int, int], int]) -> list[int]:
+        """The orbit of ``start`` under ``act(point, s)`` for the generators s
+        of G; finiteness makes it the orbit under all of G."""
+        orbit = [start]
+        seen = {start}
+        for point in orbit:  # grows while it is walked
+            for s in self.generators():
+                c = act(point, s)
+                if c not in seen:
+                    seen.add(c)
+                    orbit.append(c)
+        return orbit
+
+    def class_representatives(self) -> tuple[int, ...]:
+        """The least element of each conjugacy class, ascending."""
+        if self._class_reps is None:
+            reps = []
+            covered = 0
+            for x in range(self.order):
+                if not (covered >> x) & 1:
+                    reps.append(x)
+                    for c in self._orbit(x, self.conj):
+                        covered |= 1 << c
+            self._class_reps = tuple(reps)
+        return self._class_reps
+
     def normal_closure_mask(self, mask: int) -> int:
-        conjs = 0
-        for g in range(self.order):
-            conjs |= self.conjugate_mask(mask, g)
-        return self.closure_mask(conjs)
+        """The smallest normal subgroup containing the elements of ``mask``.
+
+        Conjugation by a generator of G is an automorphism, so a subgroup is
+        normal once every conjugate of its generators by those of G lies in
+        it.  Conjugates that leave the span join the generating list.
+        """
+        gens, have = self._grow_generators(mask)
+        outer = self.generators()
+        for x in gens:  # grows while it is walked
+            for s in outer:
+                c = self.conj(x, s)
+                if not (have >> c) & 1:
+                    gens.append(c)
+                    have = self.span(gens)
+        return have
 
     def normal_subgroup_masks(self) -> tuple[int, ...]:
         """All normal subgroups, via join-closure of element normal closures."""
         if self._normals is not None:
             return self._normals
+        # the normal closure of an element depends only on its class
         atoms = sorted(
-            {self.normal_closure_mask(1 << x) for x in range(1, self.order)}
+            {self.normal_closure_mask(1 << x) for x in self.class_representatives()[1:]}
         )
         found = {1, self.full_mask}
         frontier = [1]
@@ -410,7 +531,7 @@ class FiniteGroup:
             nxt = []
             for m in frontier:
                 for a in atoms:
-                    j = self.closure_mask(m | a)
+                    j = self.span(self.mask_generators(m) + self.mask_generators(a))
                     if j not in found:
                         found.add(j)
                         nxt.append(j)
@@ -476,21 +597,9 @@ class FiniteGroup:
                     break
             if not grown:  # cannot happen in a group; defensive
                 raise NotASubgroup("Sylow growth stalled")
-        best = min(self.conjugate_mask(current, g) for g in range(self.order))
+        best = min(self._orbit(current, self.conjugate_mask))
         self._sylow[p] = best
         return best
-
-    def mask_generators(self, mask: int) -> tuple[int, ...]:
-        """A small deterministic generating set for a subgroup mask."""
-        gens: list[int] = []
-        have = 1
-        for x in self.mask_elements(mask):
-            if x and not (have >> x) & 1:
-                gens.append(x)
-                have = self.closure_mask(have | (1 << x))
-                if have == mask:
-                    break
-        return tuple(gens)
 
     def subgroup_label(self, mask: int) -> str:
         gens = self.mask_generators(mask)
@@ -507,7 +616,11 @@ class FiniteGroup:
             raise NotASubgroup(f"mask {mask} is not a subgroup of {self.label}")
         elems = self.mask_elements(mask)  # ascending; identity 0 first
         pos = {x: i for i, x in enumerate(elems)}
-        table = [[pos[self.mul(a, b)] for b in elems] for a in elems]
+        flat, n = self._flat, self.order
+        table = array("i")
+        for a in elems:
+            row = a * n
+            table.extend([pos[flat[row + b]] for b in elems])
         rep = None
         if self.perm_rep is not None:
             degree, perms = self.perm_rep
@@ -521,7 +634,7 @@ class FiniteGroup:
             perm_rep=rep,
             element_names=names,
         )
-        got = RealizedSubgroup(parent=self, mask=mask, group=sub, to_parent=elems, index_of=pos)
+        got = RealizedSubgroup(mask=mask, group=sub, to_parent=elems, index_of=pos)
         self._realized[mask] = got
         return got
 
@@ -533,7 +646,6 @@ class FiniteGroup:
 class RealizedSubgroup:
     """A subgroup realized as a standalone group, with index translation."""
 
-    parent: FiniteGroup
     mask: int
     group: FiniteGroup
     to_parent: tuple[int, ...]
@@ -602,23 +714,61 @@ def group_from_permutations(
     identity = tuple(range(degree))
     elems: list[Perm] = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = perm_compose(v, g)
-                if w not in index:
-                    if len(elems) >= limit:
-                        raise OrderBoundExceeded(
-                            f"closure exceeds order bound {limit}"
-                        )
-                    index[w] = len(elems)
-                    elems.append(w)
-                    nxt.append(w)
-        frontier = nxt
-    table = [[index[perm_compose(a, b)] for b in elems] for a in elems]
-    return FiniteGroup(table, label=label, perm_rep=(degree, tuple(elems)))
+    # BFS parent links: element a is elems[parent[a]] followed by gens[via[a]]
+    parent = [-1]
+    via = [-1]
+    for a, v in enumerate(elems):  # grows while it is walked, in BFS order
+        for k, g in enumerate(gens):
+            w = perm_compose(v, g)
+            if w not in index:
+                if len(elems) >= limit:
+                    raise OrderBoundExceeded(f"closure exceeds order bound {limit}")
+                index[w] = len(elems)
+                elems.append(w)
+                parent.append(a)
+                via.append(k)
+    return FiniteGroup(
+        _cayley_table(elems, index, gens, parent, via),
+        label=label,
+        perm_rep=(degree, tuple(elems)),
+    )
+
+
+def _cayley_table(
+    elems: Sequence[Perm],
+    index: dict[Perm, int],
+    gens: Sequence[Perm],
+    parent: Sequence[int],
+    via: Sequence[int],
+) -> array:
+    """The flat Cayley table of a BFS-enumerated permutation group.
+
+    For a = a'·g with a' the BFS parent of a, a·b = a'·(g·b), so row a is
+    row a' read at the columns of left multiplication by g.  That needs
+    n·|gens| permutation products instead of n², and each row is one gather
+    through a per-generator ``itemgetter`` at C speed.  Rows are made in
+    depth-first order of the BFS tree, so only the rows on the current path
+    and their pending siblings are alive as tuples; they share the int
+    objects of row 0, so a gather allocates no ints.
+    """
+    n = len(elems)
+    table = array("i", [0]) * (n * n)
+    if n == 1:
+        return table
+    lefts = [itemgetter(*[index[perm_compose(g, x)] for x in elems]) for g in gens]
+    children: list[list[int]] = [[] for _ in range(n)]
+    for a in range(1, n):
+        children[parent[a]].append(a)
+    pack = Struct(f"{n}i").pack
+    width = n * table.itemsize
+    stack = [(0, tuple(range(n)))]
+    with memoryview(table) as view, view.cast("B") as out:
+        while stack:
+            a, row = stack.pop()
+            out[a * width : (a + 1) * width] = pack(*row)
+            for c in children[a]:
+                stack.append((c, lefts[via[c]](row)))
+    return table
 
 
 def group_from_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGroup:
@@ -735,14 +885,19 @@ class GroupPredicateReport:
 
 
 def o_p_mask(H: FiniteGroup, p: int) -> int:
-    """O_p(H) as the intersection of all Sylow p-subgroups."""
-    syl = H.sylow_mask(p)
-    out = syl
-    for g in range(H.order):
-        out &= H.conjugate_mask(syl, g)
-        if out == 1:
-            break
-    return out
+    """O_p(H), the normal core of a Sylow p-subgroup.
+
+    K <- K ∩ ⋂_s K^s over the generators s of H, from K = Sylow, until K is
+    stable; a stable K has K^s = K for every generator, so it is normal.
+    """
+    core = H.sylow_mask(p)
+    while True:
+        nxt = core
+        for s in H.generators():
+            nxt &= H.conjugate_mask(core, s)
+        if nxt == core:
+            return core
+        core = nxt
 
 
 def o_p_prime_mask(H: FiniteGroup, p: int) -> int:
@@ -750,14 +905,16 @@ def o_p_prime_mask(H: FiniteGroup, p: int) -> int:
 
     Join of the normal closures of single elements whose closure has p'-order;
     the product of two normal p'-subgroups is again one, so one pass suffices.
+    The closure of x depends only on the class of x, so one element per class
+    is tried, and not one whose order p divides, as its closure contains it.
     """
     theta = 1
-    for x in range(1, H.order):
-        if (theta >> x) & 1:
+    for x in H.class_representatives()[1:]:
+        if (theta >> x) & 1 or H.element_order(x) % p == 0:
             continue
         ncl = H.normal_closure_mask(1 << x)
         if popcount(ncl) % p != 0:
-            cand = H.closure_mask(theta | ncl)
+            cand = H.span(H.mask_generators(theta) + H.mask_generators(ncl))
             if popcount(cand) % p != 0:
                 theta = cand
     return theta

@@ -150,6 +150,11 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
         # a subgroup that is not normal in G, rejected before any check runs
         ("verify", "--subsystems", {"SL23@p2": [{"normal": [[[3, 4, 5], [6, 8, 7]]], "kind": "p-power"}]}),
         ("classify", "--file", {"name": "X", "table": [1, 2]}),
+        # table entries that are not integers, a JSON boolean included
+        ("classify", "--file", {"name": "X", "table": [[0, "a"], ["a", 0]]}),
+        ("classify", "--file", {"name": "X", "table": [[0, 1.0], [1.0, 0]]}),
+        ("classify", "--file", {"name": "X", "table": [[0, None], [None, 0]]}),
+        ("classify", "--file", {"name": "X", "table": [[0, True], [True, False]]}),
         ("classify", "--file", {"name": "X", "degree": 3, "generators": [[1, 2]]}),
     ]
     # a malformed subsystem file is rejected while loading, before any check runs

@@ -2,34 +2,152 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import resource
+import subprocess
+import sys
+import time
+import weakref
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fusionloc
 from fusionloc.errors import (
     FusionlocError,
     InvalidPermutation,
+    NotASubgroup,
     NotNormal,
     OrderBoundExceeded,
     ParseError,
 )
 from fusionloc.corpus import builtin_group
 from fusionloc.groups import (
+    FiniteGroup,
     Subgroup,
     bits,
     centralizer,
     cores,
     group_from_permutations,
     group_from_table,
+    is_prime,
     load_group_json,
     normalizer,
+    o_p_mask,
     o_p_prime_mask,
+    order_bound,
     p_part,
+    perm_compose,
     perm_from_cycles,
     popcount,
     quotient_group,
     structure_hint,
     sylow_p,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the all-elements definitions the generator forms replace
+
+
+def ref_normal_closure_mask(G, mask):
+    conjs = 0
+    for g in range(G.order):
+        conjs |= G.conjugate_mask(mask, g)
+    return G.closure_mask(conjs)
+
+
+def ref_is_normal_mask(G, mask):
+    return all(G.conjugate_mask(mask, g) == mask for g in range(G.order))
+
+
+def ref_normalizer_mask(G, mask):
+    out = 0
+    for g in range(G.order):
+        if G.conjugate_mask(mask, g) == mask:
+            out |= 1 << g
+    return out
+
+
+def ref_centralizer_mask(G, mask):
+    out = 0
+    elems = G.mask_elements(mask)
+    for g in range(G.order):
+        if all(G.conj(x, g) == x for x in elems):
+            out |= 1 << g
+    return out
+
+
+def ref_o_p_mask(H, p):
+    """O_p(H) as the intersection of all Sylow p-subgroups."""
+    syl = H.sylow_mask(p)
+    out = syl
+    for g in range(H.order):
+        out &= H.conjugate_mask(syl, g)
+        if out == 1:
+            break
+    return out
+
+
+def ref_o_p_prime_mask(H, p):
+    """Join of the normal closures of single elements with p'-order closure."""
+    theta = 1
+    for x in range(1, H.order):
+        if (theta >> x) & 1:
+            continue
+        ncl = ref_normal_closure_mask(H, 1 << x)
+        if popcount(ncl) % p != 0:
+            cand = H.closure_mask(theta | ncl)
+            if popcount(cand) % p != 0:
+                theta = cand
+    return theta
+
+
+def ref_normal_subgroup_masks(G):
+    atoms = {ref_normal_closure_mask(G, 1 << x) for x in range(1, G.order)}
+    found = {1, G.full_mask}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for a in atoms:
+                j = G.closure_mask(m | a)
+                if j not in found:
+                    found.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return tuple(sorted(found))
+
+
+def assert_matches_references(G):
+    """Every generator-form routine equals its reference on every subgroup."""
+    assert G.normal_subgroup_masks() == ref_normal_subgroup_masks(G)
+    assert G.is_abelian == all(
+        G.mul(a, b) == G.mul(b, a) for a in range(G.order) for b in range(G.order)
+    )
+    classes = {frozenset(G.conj(x, g) for g in range(G.order)) for x in range(G.order)}
+    assert G.class_representatives() == tuple(sorted(min(c) for c in classes))
+    primes = [p for p in range(2, G.order + 1) if is_prime(p) and G.order % p == 0]
+    for m in G.subgroup_masks():
+        assert G.normal_closure_mask(m) == ref_normal_closure_mask(G, m)
+        assert G.is_normal_mask(m) == ref_is_normal_mask(G, m)
+        assert G.normalizer_mask(m) == ref_normalizer_mask(G, m)
+        assert G.centralizer_mask(m) == ref_centralizer_mask(G, m)
+        H = G.as_group(m).group
+        for p in primes:
+            syl = H.sylow_mask(p)
+            assert syl == min(H.conjugate_mask(syl, g) for g in range(H.order))
+            assert o_p_mask(H, p) == ref_o_p_mask(H, p)
+            assert o_p_prime_mask(H, p) == ref_o_p_prime_mask(H, p)
+
+
+def assert_table_matches_permutations(G):
+    perms = G.perm_rep[1]
+    index = {perm: i for i, perm in enumerate(perms)}
+    expected = array("i", [index[perm_compose(a, b)] for a in perms for b in perms])
+    assert G._flat == expected
 
 
 def test_closure_orders():
@@ -319,3 +437,109 @@ def test_subgroup_memo_matches_closure(name):
     expected = {m: bool(m & 1) and G.closure_mask(m) == m for m in masks}
     assert [G.is_subgroup_mask(m) for m in masks] == [expected[m] for m in masks]
     assert [G.is_subgroup_mask(m) for m in masks] == [expected[m] for m in masks]
+
+
+@pytest.mark.parametrize("name", ["S4", "SL23", "C2xD8", "A5"])
+def test_generator_forms_match_references(name):
+    assert_matches_references(builtin_group(name))
+
+
+@given(small_perm_groups())
+@settings(max_examples=30, deadline=None)
+def test_generator_forms_match_references_random(data):
+    degree, gens = data
+    G = group_from_permutations(degree, gens, bound=200)
+    assert_table_matches_permutations(G)
+    assert_matches_references(G)
+
+
+def test_cayley_table_matches_permutations_s5():
+    assert_table_matches_permutations(
+        group_from_permutations(5, [[[1, 2, 3, 4, 5]], [[1, 2]]])
+    )
+
+
+def test_mask_generators_rejects_non_subgroups():
+    G = builtin_group("S4")
+    for m in range(1 << 8):  # every mask over the first eight elements
+        if not G.is_subgroup_mask(m):
+            with pytest.raises(NotASubgroup):
+                G.mask_generators(m)
+    for m in G.subgroup_masks():
+        assert G.span(G.mask_generators(m)) == m
+
+
+# a loop of order 5 with identity 0 and two-sided inverses that is not a group
+NON_ASSOCIATIVE = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [1]], "not square"),
+        (array("i", [0, 1, 1]), "not square"),
+        ([[0, 1], [1, 2]], "0..n-1"),
+        ([[0, 1], [1, -1]], "0..n-1"),
+        ([[0, 1], [1, 2**40]], "0..n-1"),
+        ([[0, "a"], ["a", 0]], "must be integers"),
+        ([[0, 1.0], [1.0, 0]], "must be integers"),
+        ([[0, None], [None, 0]], "must be integers"),
+        ([[0, True], [True, False]], "must be integers"),
+        ([[1, 0], [0, 1]], "identity"),
+        ([[0, 1], [1, 1]], "has no inverse"),
+        ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "no two-sided inverse"),
+        (NON_ASSOCIATIVE, "not associative"),
+    ],
+)
+def test_table_validation_rejects(table, message):
+    with pytest.raises(ParseError, match=message):
+        FiniteGroup(table, check="auto")
+
+
+def test_group_freed_without_cyclic_collector():
+    # no cache of a group refers back to it, so dropping it frees it at once
+    gc.disable()
+    try:
+        G = builtin_group("S4")
+        G.as_group(G.sylow_mask(2))
+        cores(G, 2)
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_order_bound_maximum(monkeypatch, tmp_path):
+    monkeypatch.setenv("FUSIONLOC_ORDER_BOUND", "5040")
+    assert order_bound() == 5040
+    monkeypatch.setenv("FUSIONLOC_ORDER_BOUND", "40320")
+    with pytest.raises(ParseError, match="maximum"):
+        order_bound()
+    # S8 with that override exits 3 before any enumeration; the address-space
+    # limit keeps a regression from reaching the 6.5 GB table
+    s8 = tmp_path / "S8.json"
+    s8.write_text(
+        '{"name": "S8", "degree": 8, "generators": [[[1, 2, 3, 4, 5, 6, 7, 8]], [[1, 2]]]}'
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fusionloc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, FUSIONLOC_ORDER_BOUND="40320")
+    limit = 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionloc", "classify", "--file", str(s8), "--prime", "2"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error:") and "FUSIONLOC_ORDER_BOUND" in proc.stderr
+    assert time.perf_counter() - start < 30
