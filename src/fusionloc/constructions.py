@@ -245,9 +245,7 @@ def is_characteristic_p_type(G: FiniteGroup, S: Subgroup, p: int) -> bool:
         if mask == 1:
             continue
         parent = real.mask_to_parent(mask)
-        canon = min(
-            G.conjugate_mask(parent, g) for g in range(G.order)
-        )
+        canon = G.canonical_conjugate(parent)
         if canon in seen_classes:
             continue
         seen_classes.add(canon)

@@ -7,7 +7,6 @@ multiplication tables are built on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import CorpusLoadError
 from .fusion import FusionSystem, fusion_from_group
@@ -16,7 +15,6 @@ from .groups import (
     RealizedSubgroup,
     Subgroup,
     group_from_permutations,
-    load_group_file,
     p_part,
     sylow_p,
 )
@@ -46,9 +44,7 @@ BUILTINS: dict[str, tuple[int, list]] = {
 class CorpusEntry:
     name: str
     prime: int
-    source: str = "builtin"  # or a file path
     notes: str = ""
-    allow_trivial_sylow: bool = False
 
 
 DEFAULT_CORPUS: tuple[CorpusEntry, ...] = (
@@ -94,13 +90,9 @@ class Instance:
         return f"{self.entry.name}@p{self.prime}"
 
 
-def build_instance(entry: CorpusEntry, group: Optional[FiniteGroup] = None) -> Instance:
-    if group is None:
-        if entry.source != "builtin":
-            group = load_group_file(entry.source)
-        else:
-            group = builtin_group(entry.name)
-    if p_part(group.order, entry.prime) == 1 and not entry.allow_trivial_sylow:
+def build_instance(entry: CorpusEntry) -> Instance:
+    group = builtin_group(entry.name)
+    if p_part(group.order, entry.prime) == 1:
         raise CorpusLoadError(
             f"{entry.prime} does not divide |{entry.name}| = {group.order}"
         )

@@ -135,6 +135,40 @@ def morphism_label(base: FiniteGroup, dom: int, images: Morphism) -> str:
     return "{" + inner + "}" if inner else "{id}"
 
 
+def induced_map(
+    base: FiniteGroup, qbase: FiniteGroup, proj: Sequence[int], dom: int, images: Morphism
+) -> Optional[Morphism]:
+    """The map that ``images`` induces on ``translate_mask(dom, proj)``, where
+    ``proj`` sends base indices to qbase indices; None when it is ill-defined."""
+    induced: dict[int, int] = {}
+    for x, y in zip(base.mask_elements(dom), images):
+        if induced.setdefault(proj[x], proj[y]) != proj[y]:
+            return None
+    return tuple(induced[q] for q in qbase.mask_elements(translate_mask(dom, proj)))
+
+
+def restrict_partial(partial: dict[int, int], t_mask: int) -> tuple[int, Morphism]:
+    """(dom, images) of a partial index map on the i in T that it sends into T."""
+    dom = 0
+    for i, j in partial.items():
+        if (t_mask >> i) & 1 and (t_mask >> j) & 1:
+            dom |= 1 << i
+    return dom, tuple(partial[i] for i in bits(dom))
+
+
+def maps_from_partials(
+    base: FiniteGroup, t_mask: int, partials: Iterable[dict[int, int]]
+) -> dict[int, frozenset]:
+    """For each subgroup P of T, the restrictions to P of those partial index
+    maps that send all of P into T."""
+    maps: dict[int, set] = {m: set() for m in base.subgroups_of(t_mask)}
+    for partial in partials:
+        dom, _ = restrict_partial(partial, t_mask)
+        for P in base.subgroups_of(dom):
+            maps[P].add(tuple(partial[i] for i in base.mask_elements(P)))
+    return {m: frozenset(s) for m, s in maps.items()}
+
+
 # ---------------------------------------------------------------------------
 # closure of generating morphisms
 
@@ -444,33 +478,6 @@ class FusionSystem:
                     return False
         return True
 
-    def check_saturation_alternative(self) -> bool:
-        """Cross-check with the Sylow + extension axiom formulation."""
-        for data in self.classes():
-            for P in data.fully_normalized_members:
-                if P not in data.fully_centralized_members:
-                    return False
-                if not self._fully_automized(P):
-                    return False
-        base = self.base
-        for data in self.classes():
-            for P in data.fully_centralized_members:
-                aut_s = set(self.inner_auts(P))
-                pelems = base.mask_elements(P)
-                for Q in data.members:
-                    qelems = base.mask_elements(Q)
-                    qpos = {x: i for i, x in enumerate(qelems)}
-                    for phi in self.isos(Q, P):
-                        inv_of = {y: x for x, y in zip(qelems, phi)}
-                        n_phi = 0
-                        for g in base.mask_elements(base.normalizer_mask(Q) & self.carrier):
-                            tup = tuple(phi[qpos[base.conj(inv_of[y], g)]] for y in pelems)
-                            if tup in aut_s:
-                                n_phi |= 1 << g
-                        if _find_extension(self, n_phi, Q, phi) is None:
-                            return False
-        return True
-
     # -- normality, center, O_p ------------------------------------------------
 
     def is_strongly_closed(self, Q: int) -> bool:
@@ -575,14 +582,14 @@ class FusionSystem:
 
     def _is_quasicentric_class(self, data: FClassData) -> bool:
         for P in data.fully_centralized_members:
-            cf = self.local_subsystem(P, trivial_kset(self.base, P), check=False)
+            cf = self.local_subsystem(P, trivial_kset(self.base, P))
             if not _is_inner_system(cf):
                 return False
         return True
 
     def _is_subcentric_class(self, data: FClassData, centric_of: dict[int, bool]) -> bool:
         for P in data.fully_normalized_members:
-            nf = self.local_subsystem(P, full_aut_kset(self, P), check=False)
+            nf = self.local_subsystem(P, full_aut_kset(self, P))
             op = nf.o_p_of_fusion()
             if not centric_of[self.class_of(op).representative]:
                 return False
@@ -637,13 +644,13 @@ class FusionSystem:
         norm_core_centric = []
         norm_constrained = []
         for P in data.fully_normalized_members:
-            nf = self.local_subsystem(P, full_aut_kset(self, P), check=False)
+            nf = self.local_subsystem(P, full_aut_kset(self, P))
             op = nf.o_p_of_fusion()
             norm_core_centric.append(table[op].centric)
             norm_constrained.append(is_constrained(nf).constrained)
         cent_constrained = []
         for P in data.fully_centralized_members:
-            cf = self.local_subsystem(P, trivial_kset(self.base, P), check=False)
+            cf = self.local_subsystem(P, trivial_kset(self.base, P))
             cent_constrained.append(is_constrained(cf).constrained)
         return SixWay(
             all_normalizers_core_centric=all(norm_core_centric),
@@ -682,8 +689,8 @@ class FusionSystem:
                 return False
         return True
 
-    def local_subsystem(self, Q: int, K: "KAutSet | frozenset", check: bool = True) -> "FusionSystem":
-        """The K-normalizer subsystem over N_S^K(Q).
+    def local_subsystem(self, Q: int, K: "KAutSet | frozenset") -> "FusionSystem":
+        """The K-normalizer subsystem over N_S^K(Q); saturation is not checked.
 
         K-normalizer subsystems are interned on the base group: systems whose
         carrier and morphism sets agree are one object, so their classes,
@@ -700,10 +707,6 @@ class FusionSystem:
         out = self._local.get(key)
         if out is None:
             out = self._local[key] = self._k_normalizer_subsystem(Q, kset)
-        if check and self.is_saturated() and not out.is_saturated():
-            raise VerificationFailed(
-                f"K-normalizer of {self.base.subgroup_label(Q)} not saturated"
-            )
         return out
 
     def _k_normalizer_subsystem(self, Q: int, kset: frozenset) -> "FusionSystem":
@@ -739,11 +742,11 @@ class FusionSystem:
             )
         return out
 
-    def normalizer_subsystem(self, Q: int, check: bool = False) -> "FusionSystem":
-        return self.local_subsystem(Q, full_aut_kset(self, Q), check=check)
+    def normalizer_subsystem(self, Q: int) -> "FusionSystem":
+        return self.local_subsystem(Q, full_aut_kset(self, Q))
 
-    def centralizer_subsystem(self, Q: int, check: bool = False) -> "FusionSystem":
-        return self.local_subsystem(Q, trivial_kset(self.base, Q), check=check)
+    def centralizer_subsystem(self, Q: int) -> "FusionSystem":
+        return self.local_subsystem(Q, trivial_kset(self.base, Q))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FusionSystem({self.label}, |S|={popcount(self.carrier)}, p={self.p})"
@@ -825,18 +828,15 @@ def _conjugation_maps(
     """Maps induced on the subgroups of T (a mask over the realized S) by
     conjugation with each element of ``conjugators``, where defined inside T."""
     base = real.group
-    maps: dict[int, set] = {m: set() for m in base.subgroups_of(t_mask)}
+    partials = []
     for g in conjugators:
         partial = {}
-        dom_mask = 0
         for i in base.mask_elements(t_mask):
             j = real.index_of.get(G.conj(real.to_parent[i], g))
-            if j is not None and (t_mask >> j) & 1:
+            if j is not None:
                 partial[i] = j
-                dom_mask |= 1 << i
-        for P in base.subgroups_of(dom_mask):
-            maps[P].add(tuple(partial[i] for i in base.mask_elements(P)))
-    return {m: frozenset(s) for m, s in maps.items()}
+        partials.append(partial)
+    return maps_from_partials(base, t_mask, partials)
 
 
 def abstract_fusion(
@@ -879,8 +879,8 @@ def subcentric_equivalences(F: FusionSystem, Q: int) -> SixWay:
     return F.subcentric_equivalences(Q)
 
 
-def local_subsystem(F: FusionSystem, Q: int, K, check: bool = True) -> FusionSystem:
-    return F.local_subsystem(Q, K, check=check)
+def local_subsystem(F: FusionSystem, Q: int, K) -> FusionSystem:
+    return F.local_subsystem(Q, K)
 
 
 def is_constrained(F: FusionSystem) -> ConstrainedResult:
@@ -911,21 +911,12 @@ def quotient_mod_central(F: FusionSystem, Z: int) -> CentralQuotient:
         if A & Z != Z:
             continue
         a_img = translate_mask(A, proj)
-        lifts: dict[int, int] = {}
-        for x in base.mask_elements(A):
-            lifts.setdefault(proj[x], x)
-        aelems = base.mask_elements(A)
-        apos = {x: i for i, x in enumerate(aelems)}
         for psi in F.maps_from[A]:
             if image_mask(restrict_map(base, A, psi, Z)) != Z:
                 raise VerificationFailed("central subgroup not preserved")
-            induced = tuple(
-                proj[psi[apos[lifts[q]]]] for q in Sq.mask_elements(a_img)
-            )
-            # well-definedness across lifts
-            for x in aelems:
-                if proj[psi[apos[x]]] != induced[Sq.mask_elements(a_img).index(proj[x])]:
-                    raise VerificationFailed("induced map ill-defined")
+            induced = induced_map(base, Sq, proj, A, psi)
+            if induced is None:
+                raise VerificationFailed("induced map ill-defined")
             maps[a_img].add(induced)
     quotient = FusionSystem(
         Sq,
@@ -1009,16 +1000,11 @@ def maps_equal_under_index_map(
         return False
     for P in F1.subgroups():
         P2 = translate_mask(P, idx)
-        source = F1.maps_from[P]
         target = F2.maps_from.get(P2)
         if target is None:
             return False
-        elems1 = F1.base.mask_elements(P)
-        order = [elems1.index(x) for x in sorted(elems1, key=lambda e: idx[e])]
-        translated = set()
-        for m in source:
-            translated.add(tuple(idx[m[i]] for i in order))
-        if translated != set(target):
+        translated = {induced_map(F1.base, F2.base, idx, P, m) for m in F1.maps_from[P]}
+        if translated != target:
             return False
     return True
 

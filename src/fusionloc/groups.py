@@ -80,8 +80,8 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> Perm:
         if not cycle:
             continue
         for pt in cycle:
-            if not isinstance(pt, int) or not (1 <= pt <= degree):
-                raise InvalidPermutation(f"point {pt!r} outside 1..{degree}")
+            if type(pt) is not int or not (1 <= pt <= degree):  # bool is not a point
+                raise InvalidPermutation(f"point {pt!r} is not an integer in 1..{degree}")
             if pt in seen:
                 raise InvalidPermutation(f"point {pt} repeated across cycles")
             seen.add(pt)
@@ -487,6 +487,10 @@ class FiniteGroup:
                     orbit.append(c)
         return orbit
 
+    def canonical_conjugate(self, mask: int) -> int:
+        """The least G-conjugate of a subgroup mask."""
+        return min(self._orbit(mask, self.conjugate_mask))
+
     def class_representatives(self) -> tuple[int, ...]:
         """The least element of each conjugacy class, ascending."""
         if self._class_reps is None:
@@ -597,7 +601,7 @@ class FiniteGroup:
                     break
             if not grown:  # cannot happen in a group; defensive
                 raise NotASubgroup("Sylow growth stalled")
-        best = min(self._orbit(current, self.conjugate_mask))
+        best = self.canonical_conjugate(current)
         self._sylow[p] = best
         return best
 
@@ -810,7 +814,7 @@ def group_from_elements(
     return grp, tuple(ordered)
 
 
-def load_group_json(data: dict, bound: Optional[int] = None) -> FiniteGroup:
+def load_group_json(data: dict) -> FiniteGroup:
     """Load a group from the JSON input schema.
 
     Either ``{"name", "degree", "generators": [[cycle,...],...]}`` with 1-based
@@ -824,28 +828,27 @@ def load_group_json(data: dict, bound: Optional[int] = None) -> FiniteGroup:
         table = data["table"]
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise ParseError("table must be a list of rows")
-        limit = bound if bound is not None else order_bound()
-        if len(table) > limit:
+        if len(table) > order_bound():
             raise OrderBoundExceeded(f"table of order {len(table)} exceeds bound")
         return group_from_table(table, label=name)
     if "generators" in data:
         degree = data.get("degree")
-        if not isinstance(degree, int):
+        if type(degree) is not int:  # bool is not a degree
             raise ParseError("missing integer degree")
         gens = data["generators"]
         if not isinstance(gens, list):
             raise ParseError("generators must be a list")
-        return group_from_permutations(degree, gens, label=name, bound=bound)
+        return group_from_permutations(degree, gens, label=name)
     raise ParseError("group object needs either 'table' or 'generators'")
 
 
-def load_group_file(path: str, bound: Optional[int] = None) -> FiniteGroup:
+def load_group_file(path: str) -> FiniteGroup:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
-    return load_group_json(data, bound=bound)
+    return load_group_json(data)
 
 
 # ---------------------------------------------------------------------------

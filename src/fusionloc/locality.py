@@ -30,7 +30,7 @@ from .errors import (
     ObjectSetMismatch,
     VerificationFailed,
 )
-from .fusion import FusionSystem, LocalityProvenance, locality_fusion
+from .fusion import FusionSystem, LocalityProvenance, locality_fusion, restrict_partial
 from .groups import (
     FiniteGroup,
     RealizedSubgroup,
@@ -231,13 +231,16 @@ class Locality:
 
     def build_fusion_system(self) -> FusionSystem:
         """A new F_S(L), generated by the conjugation maps c_f on S_f."""
-        gens = []
-        for f in range(self.size):
-            cmap = self.conj_s[f]
-            dom = self.s_of(f)
-            gens.append((dom, tuple(cmap[i] for i in bits(dom))))
-        prov = LocalityProvenance(self.s_group, self.p, self.label, tuple(gens))
+        gens = self.conj_generators(range(self.size), self.s_group.full_mask)
+        prov = LocalityProvenance(self.s_group, self.p, self.label, gens)
         return locality_fusion(prov)
+
+    def conj_generators(
+        self, ids: Iterable[int], t_mask: int
+    ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Fusion generators (dom, images): c_f for f in ids, restricted to
+        the i in S_f with i and c_f(i) in T."""
+        return tuple(restrict_partial(self.conj_s[f], t_mask) for f in ids)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -828,12 +831,9 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
             targets = set()
             for s in maximal[qb]:
                 for f in cb:
-                    word = (L.inv[f], s, f)
-                    if L.word_in_domain(word):
-                        a = L.prod2.get((L.inv[f], s))
-                        t = L.prod2.get((a, f)) if a is not None else None
-                        if t is not None:
-                            targets.add(proj[t])
+                    t = L.conj_elem(s, f)
+                    if t is not None:
+                        targets.add(proj[t])
             if len(targets) > 1:
                 raise VerificationFailed("quotient conjugation ill-defined")
             if targets:

@@ -35,8 +35,10 @@ from .fusion import (
     close_morphism_sets,
     fusion_from_group,
     image_mask,
+    induced_map,
     is_constrained,
     locality_fusion,
+    maps_from_partials,
     normal_ksets,
     quotient_mod_central,
     restrict_map,
@@ -292,7 +294,7 @@ def run_fusion_checks(
         for kset in normal_ksets(F, Q):
             if not F.is_fully_k_normalized(Q, kset):
                 continue
-            NK = F.local_subsystem(Q, kset, check=False)
+            NK = F.local_subsystem(Q, kset)
             if not NK.is_saturated():
                 bad_join.append(Q)
                 continue
@@ -461,7 +463,7 @@ def _ambient_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
     bad = []
     for R in F.normal_masks():
         for kset in normal_ksets(F, R):
-            NK = F.local_subsystem(R, kset, check=False)
+            NK = F.local_subsystem(R, kset)
             if not NK.is_saturated():
                 bad.append(R)
                 continue
@@ -529,7 +531,7 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
         if mask == 1:
             continue
         parent = real.mask_to_parent(mask)
-        canon = min(G.conjugate_mask(parent, g) for g in range(G.order))
+        canon = G.canonical_conjugate(parent)
         if canon not in seen:
             seen.add(canon)
             nrep = cores(G.as_group(G.normalizer_mask(parent)).group, p)
@@ -725,13 +727,15 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
             break
         if fully:
             NF = F.normalizer_subsystem(P)
-            loc_maps = _conj_fusion_maps(L, L.normalizer_ids(P), ns_mask)
+            partials = [L.conj_s[f] for f in L.normalizer_ids(P)]
+            loc_maps = maps_from_partials(base, ns_mask, partials)
             if loc_maps != {m: NF.maps_from[m] for m in loc_maps}:
                 bad = (P, "N_F(P) differs from the normalizer-group fusion")
                 break
             CF = F.centralizer_subsystem(P)
             cs_mask = base.centralizer_mask(P)
-            loc_cmaps = _conj_fusion_maps(L, L.centralizer_ids(P), cs_mask)
+            partials = [L.conj_s[f] for f in L.centralizer_ids(P)]
+            loc_cmaps = maps_from_partials(base, cs_mask, partials)
             if loc_cmaps != {m: CF.maps_from[m] for m in loc_cmaps}:
                 bad = (P, "C_F(P) differs from the centralizer fusion")
                 break
@@ -867,26 +871,6 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
     return out
 
 
-def _conj_fusion_maps(L: Locality, ids: Sequence[int], carrier: int) -> dict[int, frozenset]:
-    """Fusion maps on a carrier subgroup generated by conjugation with ids."""
-    base = L.s_group
-    maps: dict[int, set] = {m: set() for m in base.subgroups_of(carrier)}
-    for f in ids:
-        cmap = L.conj_s[f]
-        for A in maps:
-            tup = []
-            ok = True
-            for i in bits(A):
-                j = cmap.get(i)
-                if j is None or not (carrier >> j) & 1:
-                    ok = False
-                    break
-                tup.append(j)
-            if ok:
-                maps[A].add(tuple(tup))
-    return {m: frozenset(s) for m, s in maps.items()}
-
-
 # ---------------------------------------------------------------------------
 # quotient and theta checks
 
@@ -905,16 +889,9 @@ def run_quotient_checks(qd: QuotientData, subject: str) -> list[CheckResult]:
     bad = None
     for P in FL.subgroups():
         P2 = translate_mask(P, idx)
-        elems = base.mask_elements(P)
-        lifts: dict[int, int] = {}
-        for i in elems:
-            lifts.setdefault(idx[i], i)
-        pos = {x: k for k, x in enumerate(elems)}
-        q_elems = qbase.mask_elements(P2)
         for m in FL.maps_from[P]:
-            induced = tuple(idx[m[pos[lifts[j]]]] for j in q_elems)
-            consistent = all(idx[m[pos[i]]] == induced[q_elems.index(idx[i])] for i in elems)
-            if not consistent:
+            induced = induced_map(base, qbase, idx, P, m)
+            if induced is None:
                 bad = (P, "induced map ill-defined")
                 break
             if induced not in FQ.maps_from[P2]:
@@ -934,16 +911,9 @@ def run_quotient_checks(qd: QuotientData, subject: str) -> list[CheckResult]:
     for P in FL.subgroups():
         if P & t_mask != t_mask:
             continue
-        P2 = translate_mask(P, idx)
-        elems = base.mask_elements(P)
-        pos = {x: k for k, x in enumerate(elems)}
-        q_elems = qbase.mask_elements(P2)
-        for psi in FQ.maps_from[P2]:
-            found = any(
-                all(idx[m[pos[i]]] == psi[q_elems.index(idx[i])] for i in elems)
-                for m in FL.maps_from[P]
-            )
-            if not found:
+        lifted = {induced_map(base, qbase, idx, P, m) for m in FL.maps_from[P]}
+        for psi in FQ.maps_from[translate_mask(P, idx)]:
+            if psi not in lifted:
                 bad = (P, "quotient morphism has no lift")
                 break
         if bad:
@@ -1017,14 +987,7 @@ def run_censubsystem_checks(
         for i, x in enumerate(LQ.s_ids):
             if x in nbar:
                 t_mask_q |= 1 << i
-        gens = []
-        for f in sorted(nbar):
-            cmap = LQ.conj_s[f]
-            dom = 0
-            for i, j in cmap.items():
-                if (t_mask_q >> i) & 1 and (t_mask_q >> j) & 1:
-                    dom |= 1 << i
-            gens.append((dom, tuple(cmap[i] for i in bits(dom))))
+        gens = LQ.conj_generators(sorted(nbar), t_mask_q)
         emaps = close_morphism_sets(qbase, t_mask_q, gens)
         E_loc = FusionSystem(
             qbase, t_mask_q, F.p, emaps, DerivedProvenance("partial-normal"), label="E_loc"

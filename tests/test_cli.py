@@ -156,6 +156,10 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
         ("classify", "--file", {"name": "X", "table": [[0, None], [None, 0]]}),
         ("classify", "--file", {"name": "X", "table": [[0, True], [True, False]]}),
         ("classify", "--file", {"name": "X", "degree": 3, "generators": [[1, 2]]}),
+        # a JSON boolean as a cycle point, as a degree, and in a subsystem generator
+        ("classify", "--file", {"name": "X", "degree": 3, "generators": [[[True, 2, 3]]]}),
+        ("classify", "--file", {"name": "X", "degree": True, "generators": []}),
+        ("verify", "--subsystems", {"S4@p2": [{"normal": [[[True, 2], [3, 4]], [[1, 3], [2, 4]]], "kind": "p-power"}]}),
     ]
     # a malformed subsystem file is rejected while loading, before any check runs
     def no_checks(**kwargs):
@@ -167,7 +171,7 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
         path.write_text(json.dumps(content))
         args = [command, flag, str(path)] + (["--prime", "2"] if command == "classify" else [])
         code, _, err = run_cli(capsys, args)
-        assert code == 3 and "error" in err, (content, code, err)
+        assert code == 3 and "error:" in err, (content, code, err)
 
 
 @pytest.fixture

@@ -20,12 +20,49 @@ from fusionloc.fusion import (
     subsystem_from_normal_subgroup,
     trivial_kset,
 )
-from fusionloc.groups import Subgroup, bits, perm_from_cycles, popcount, sylow_p
+from fusionloc.groups import (
+    Subgroup,
+    bits,
+    perm_from_cycles,
+    popcount,
+    quotient_group,
+    sylow_p,
+    translate_mask,
+)
 from fusionloc.verifier import run_fusion_checks
 
 
 def F_of(corpus, name, prime):
     return corpus.instance(name, prime).fusion
+
+
+def ref_saturated_alternative(F) -> bool:
+    """Reference oracle: saturation in the Sylow + extension axiom formulation,
+    kept independent of ``FusionSystem._has_receptive``."""
+    for data in F.classes():
+        for P in data.fully_normalized_members:
+            if P not in data.fully_centralized_members:
+                return False
+            if not F._fully_automized(P):
+                return False
+    base = F.base
+    for data in F.classes():
+        for P in data.fully_centralized_members:
+            aut_s = set(F.inner_auts(P))
+            pelems = base.mask_elements(P)
+            for Q in data.members:
+                qelems = base.mask_elements(Q)
+                qpos = {x: i for i, x in enumerate(qelems)}
+                for phi in F.isos(Q, P):
+                    inv_of = {y: x for x, y in zip(qelems, phi)}
+                    n_phi = 0
+                    for g in base.mask_elements(base.normalizer_mask(Q) & F.carrier):
+                        tup = tuple(phi[qpos[base.conj(inv_of[y], g)]] for y in pelems)
+                        if tup in aut_s:
+                            n_phi |= 1 << g
+                    if fu._find_extension(F, n_phi, Q, phi) is None:
+                        return False
+    return True
 
 
 def test_not_sylow_rejected():
@@ -74,7 +111,7 @@ def test_saturation_corpus(corpus):
     for name, prime in (("S4", 2), ("A5", 2), ("SL23", 2), ("C2xS4", 2), ("Q8", 2)):
         F = F_of(corpus, name, prime)
         assert F.is_saturated()
-        assert F.check_saturation_alternative()
+        assert ref_saturated_alternative(F)
 
 
 def test_unsaturated_abstract_example():
@@ -90,7 +127,7 @@ def test_unsaturated_abstract_example():
     images = tuple(mapping[x] for x in E8.mask_elements(V))
     F = abstract_fusion(E8, 2, [(V, images)])
     assert not F.is_saturated()
-    assert not F.check_saturation_alternative()
+    assert not ref_saturated_alternative(F)
     with pytest.raises(NotSaturated):
         F.classification_table()
 
@@ -146,20 +183,20 @@ def test_six_way_examples(corpus):
 def test_local_subsystem_examples(corpus):
     # N_F(V4) in F_{V4}(A5) is the whole system
     FA = F_of(corpus, "A5", 2)
-    NV = FA.normalizer_subsystem(FA.base.full_mask, check=True)
-    assert NV.maps_from == FA.maps_from
+    NV = FA.normalizer_subsystem(FA.base.full_mask)
+    assert NV.is_saturated() and NV.maps_from == FA.maps_from
 
     # C_F(Z) = F for Z <= Z(F): central C2 of C2xS4
     FB = F_of(corpus, "C2xS4", 2)
     zc = FB.provenance.s_real.mask_from_parent(FB.provenance.group.center_mask())
-    CF = FB.centralizer_subsystem(zc, check=True)
-    assert CF.maps_from == FB.maps_from
+    CF = FB.centralizer_subsystem(zc)
+    assert CF.is_saturated() and CF.maps_from == FB.maps_from
 
     # N_F(Z(D8)) in F_{D8}(S4) is the inner system of D8
     FS = F_of(corpus, "S4", 2)
     zd8 = FS.base.centralizer_mask(FS.base.full_mask)
-    NZ = FS.normalizer_subsystem(zd8, check=True)
-    assert popcount(NZ.carrier) == 8
+    NZ = FS.normalizer_subsystem(zd8)
+    assert NZ.is_saturated() and popcount(NZ.carrier) == 8
     assert fu._is_inner_system(NZ)
 
 
@@ -322,8 +359,8 @@ def test_kautset_validation(corpus):
     with pytest.raises(FusionlocError):
         broken.validate(base)
     # KAutSet is accepted by local_subsystem
-    NS = F.local_subsystem(base.full_mask, K, check=True)
-    assert popcount(NS.carrier) == 8
+    NS = F.local_subsystem(base.full_mask, K)
+    assert NS.is_saturated() and popcount(NS.carrier) == 8
 
 
 def test_operation_aliases(corpus):
@@ -373,7 +410,7 @@ def test_k_normalizers_interned_per_base(corpus, name):
     for Q in F.subgroups():
         for K in fu.normal_ksets(F, Q):
             if F.is_fully_k_normalized(Q, K):
-                E = F.local_subsystem(Q, K, check=False)
+                E = F.local_subsystem(Q, K)
                 by_content.setdefault(content(E), []).append(E)
     assert any(len(systems) > 1 for systems in by_content.values())
     for systems in by_content.values():
@@ -381,4 +418,81 @@ def test_k_normalizers_interned_per_base(corpus, name):
 
     # cached saturation agrees with the independent Sylow + extension oracle
     for E in table.values():
-        assert E.is_saturated() == E.check_saturation_alternative()
+        assert E.is_saturated() == ref_saturated_alternative(E)
+
+
+def ref_conj_fusion_maps(L, ids, carrier):
+    """Reference: fusion maps on the subgroups of a carrier generated by
+    conjugation with ids, each subgroup tested letter by letter."""
+    base = L.s_group
+    maps = {m: set() for m in base.subgroups_of(carrier)}
+    for f in ids:
+        cmap = L.conj_s[f]
+        for A in maps:
+            tup = []
+            ok = True
+            for i in bits(A):
+                j = cmap.get(i)
+                if j is None or not (carrier >> j) & 1:
+                    ok = False
+                    break
+                tup.append(j)
+            if ok:
+                maps[A].add(tuple(tup))
+    return {m: frozenset(s) for m, s in maps.items()}
+
+
+@pytest.mark.parametrize("name,prime", [("S4", 2), ("A5", 2), ("SL23", 3)])
+def test_maps_from_partials_matches_reference(corpus, name, prime):
+    L = corpus.locality_all(name, prime)
+    base = L.s_group
+    for P in sorted(L.delta):
+        for ids, carrier in (
+            (L.normalizer_ids(P), base.normalizer_mask(P)),
+            (L.centralizer_ids(P), base.centralizer_mask(P)),
+        ):
+            got = fu.maps_from_partials(base, carrier, [L.conj_s[f] for f in ids])
+            assert got == ref_conj_fusion_maps(L, ids, carrier)
+
+
+def ref_induced_map(base, qbase, proj, dom, images):
+    """Reference: the map on the image of dom through the first lift of each
+    image point, or None when another lift disagrees."""
+    elems = base.mask_elements(dom)
+    lifts = {}
+    for x in elems:
+        lifts.setdefault(proj[x], x)
+    pos = {x: k for k, x in enumerate(elems)}
+    q_elems = qbase.mask_elements(translate_mask(dom, proj))
+    induced = tuple(proj[images[pos[lifts[q]]]] for q in q_elems)
+    consistent = all(proj[images[pos[x]]] == induced[q_elems.index(proj[x])] for x in elems)
+    return induced if consistent else None
+
+
+def test_induced_map_matches_reference(corpus):
+    FB = F_of(corpus, "C2xS4", 2)
+    zc = FB.provenance.s_real.mask_from_parent(FB.provenance.group.center_mask())
+    qg = quotient_mod_central(FB, zc).quotient_group
+    cases = [
+        (FB, qg.group, qg.projection, A)
+        for A in FB.subgroups()
+        if A & zc == zc
+    ]
+    qd = corpus.theta("SL23", 3).quotient_data
+    FL = qd.source.fusion_system()
+    cases += [(FL, qd.quotient.s_group, qd.s_index, P) for P in FL.subgroups()]
+    for F, qbase, proj, A in cases:
+        for m in F.maps_from[A]:
+            got = fu.induced_map(F.base, qbase, proj, A, m)
+            assert got is not None
+            assert got == ref_induced_map(F.base, qbase, proj, A, m)
+
+    # an automorphism of V4 that moves the kernel of the projection
+    V4 = builtin_group("V4")
+    a, b = 1, 2
+    qv = quotient_group(V4, Subgroup(V4, 1 | 1 << a))
+    swap = {0: 0, a: b, b: a, V4.mul(a, b): V4.mul(a, b)}
+    images = tuple(swap[x] for x in V4.mask_elements(V4.full_mask))
+    args = (V4, qv.group, qv.projection, V4.full_mask, images)
+    assert qv.projection[0] == qv.projection[a] != qv.projection[b]
+    assert fu.induced_map(*args) is None and ref_induced_map(*args) is None

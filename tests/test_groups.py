@@ -131,6 +131,7 @@ def assert_matches_references(G):
     assert G.class_representatives() == tuple(sorted(min(c) for c in classes))
     primes = [p for p in range(2, G.order + 1) if is_prime(p) and G.order % p == 0]
     for m in G.subgroup_masks():
+        assert G.canonical_conjugate(m) == min(G.conjugate_mask(m, g) for g in range(G.order))
         assert G.normal_closure_mask(m) == ref_normal_closure_mask(G, m)
         assert G.is_normal_mask(m) == ref_is_normal_mask(G, m)
         assert G.normalizer_mask(m) == ref_normalizer_mask(G, m)

@@ -523,6 +523,7 @@ def test_k_normalizer_with_proper_normal_k(corpus):
 
     k3 = next(k for k in normal_ksets(F, V) if len(k) == 3)
     NK = F.local_subsystem(V, k3)
+    assert NK.is_saturated()
     tk = NK.classification_table()
     gamma = frozenset(q for q in NK.subgroups() if q != 1 and tk[q].subcentric)
     LK, incl = k_normalizer_locality(L, V, k3, gamma)
