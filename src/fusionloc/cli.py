@@ -58,10 +58,10 @@ def _load_group(args) -> FiniteGroup:
 def _classification_report(G: FiniteGroup, p: int) -> dict:
     S = sylow_p(G, p)
     real = G.as_group(S.mask)
-    F = fusion_from_group(G, S, p, s_real=real)
+    F = fusion_from_group(G, S, p)
     base = real.group
     table = F.classification_table()
-    ds = delta_sets(G, S, p, s_real=real, fusion=F)
+    ds = delta_sets(G, S, p, fusion=F)
     class_id = {}
     classes_json = []
     for i, data in enumerate(F.classes()):
@@ -128,10 +128,10 @@ def _object_masks(args, G: FiniteGroup, S: Subgroup, real) -> frozenset[int]:
     if choice == "all":
         return nontrivial(frozenset(base.subgroup_masks()))
     if choice in ("delta", "delta-star"):
-        ds = delta_sets(G, S, args.prime, s_real=real)
+        ds = delta_sets(G, S, args.prime)
         masks = ds.delta if choice == "delta" else ds.delta_star
         return nontrivial(masks)
-    F = fusion_from_group(G, S, args.prime, s_real=real)
+    F = fusion_from_group(G, S, args.prime)
     table = F.classification_table()
     if choice == "centric":
         return frozenset(P for P in F.subgroups() if table[P].centric)

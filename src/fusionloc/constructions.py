@@ -57,12 +57,16 @@ class DeltaSets:
         """Subcentric subgroups missing from Delta*, sorted."""
         return tuple(sorted(self.subcentric - self.delta_star))
 
+    @property
+    def characteristic_p_type(self) -> bool:
+        """Every nontrivial subgroup of S lies in Delta."""
+        return all(P in self.delta for P in self.fusion.subgroups() if P != 1)
+
 
 def delta_sets(
     G: FiniteGroup,
     S: Subgroup,
     p: int,
-    s_real: Optional[RealizedSubgroup] = None,
     fusion: Optional[FusionSystem] = None,
 ) -> DeltaSets:
     """Compute Delta, Delta* and the subcentric set, with invariant checks.
@@ -72,8 +76,8 @@ def delta_sets(
     """
     if popcount(S.mask) != p_part(G.order, p):
         raise NotSylow(f"{S.label()} is not Sylow in {G.label}")
-    real = s_real if s_real is not None else G.as_group(S.mask)
-    F = fusion if fusion is not None else fusion_from_group(G, S, p, s_real=real)
+    real = G.as_group(S.mask)
+    F = fusion if fusion is not None else fusion_from_group(G, S, p)
     base = real.group
 
     def flags(mask: int) -> tuple[bool, bool]:
@@ -236,23 +240,7 @@ def theta_quotient(
 
 def is_characteristic_p_type(G: FiniteGroup, S: Subgroup, p: int) -> bool:
     """Every normalizer of a nontrivial subgroup of S has characteristic p."""
-    if popcount(S.mask) != p_part(G.order, p):
-        raise NotSylow(f"{S.label()} is not Sylow in {G.label}")
-    real = G.as_group(S.mask)
-    base = real.group
-    seen_classes = set()
-    for mask in base.subgroup_masks():
-        if mask == 1:
-            continue
-        parent = real.mask_to_parent(mask)
-        canon = G.canonical_conjugate(parent)
-        if canon in seen_classes:
-            continue
-        seen_classes.add(canon)
-        nreal = G.as_group(G.normalizer_mask(parent))
-        if not cores(nreal.group, p).is_char_p:
-            return False
-    return True
+    return delta_sets(G, S, p).characteristic_p_type
 
 
 def is_characteristic_p_type_fusion(F: FusionSystem) -> bool:

@@ -98,7 +98,7 @@ def build_instance(entry: CorpusEntry) -> Instance:
         )
     S = sylow_p(group, entry.prime)
     real = group.as_group(S.mask)
-    F = fusion_from_group(group, S, entry.prime, s_real=real)
+    F = fusion_from_group(group, S, entry.prime)
     return Instance(
         entry=entry,
         group=group,

@@ -803,14 +803,13 @@ def fusion_from_group(
     G: FiniteGroup,
     S: Subgroup,
     p: int,
-    s_real: Optional[RealizedSubgroup] = None,
 ) -> FusionSystem:
     """The fusion system of G on its Sylow p-subgroup S."""
     if S.group is not G:
         raise NotSylow("S belongs to a different group")
     if popcount(S.mask) != p_part(G.order, p):
         raise NotSylow(f"{S.label()} is not a Sylow {p}-subgroup of {G.label}")
-    real = s_real if s_real is not None else G.as_group(S.mask)
+    real = G.as_group(S.mask)
     base = real.group
     return FusionSystem(
         base,

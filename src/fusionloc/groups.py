@@ -712,6 +712,12 @@ def group_from_permutations(
     if degree < 1:
         raise InvalidPermutation("degree must be positive")
     limit = bound if bound is not None else order_bound()
+    # up to `limit` permutations of `degree` points: budgeted like a table
+    if limit * degree * array("i").itemsize > MAX_TABLE_BYTES:
+        raise OrderBoundExceeded(
+            f"degree {degree} times order bound {limit} is over the "
+            f"{MAX_TABLE_BYTES // 2**20} MiB table maximum"
+        )
     gens = [perm_from_cycles(cycles, degree) for cycles in generators]
     for g in gens:
         _check_bijection(g, degree)
@@ -824,6 +830,8 @@ def load_group_json(data: dict) -> FiniteGroup:
     if not isinstance(data, dict):
         raise ParseError("group file must be a JSON object")
     name = data.get("name", "G")
+    if not isinstance(name, str):
+        raise ParseError(f"group name must be a string, got {name!r}")
     if "table" in data:
         table = data["table"]
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):

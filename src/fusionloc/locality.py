@@ -84,6 +84,7 @@ class Locality:
         self._s_of = tuple(sum(1 << i for i in cmap) for cmap in conj_s)
         self._fusion: Optional[FusionSystem] = None
         self._axioms: Optional[LocalityAxiomReport] = None
+        self._objective: Optional[bool] = None
         # memos; sound because prod2 and conj_s never change in place
         self._preimages: dict[tuple[int, int], int] = {}
         self._normalizers: dict[int, tuple[int, ...]] = {}
@@ -248,10 +249,12 @@ class Locality:
         return tuple(sorted(self.delta))
 
     def is_objective_char_p(self) -> bool:
-        return all(
-            cores(self.normalizer_group(P)[0], self.p).is_char_p
-            for P in self.objects_sorted()
-        )
+        if self._objective is None:
+            self._objective = all(
+                cores(self.normalizer_group(P)[0], self.p).is_char_p
+                for P in self.objects_sorted()
+            )
+        return self._objective
 
     def is_linking_locality(self) -> bool:
         if not self.is_objective_char_p():

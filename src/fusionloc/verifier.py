@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .constructions import (
+    DeltaSets,
     ThetaData,
     delta_sets,
-    is_characteristic_p_type,
     is_characteristic_p_type_fusion,
     nontrivial,
     theta_quotient,
@@ -168,7 +168,7 @@ def regenerate(F: FusionSystem) -> Optional[FusionSystem]:
     prov = F.provenance
     if isinstance(prov, (GroupProvenance, NormalSubgroupProvenance)):
         S = Subgroup(prov.group, prov.s_real.mask)
-        ambient = fusion_from_group(prov.group, S, F.p, s_real=prov.s_real)
+        ambient = fusion_from_group(prov.group, S, F.p)
         if isinstance(prov, NormalSubgroupProvenance):
             return subsystem_from_normal_subgroup(ambient, prov.n_mask).fusion
         return ambient
@@ -515,35 +515,31 @@ def check_index_subsystem(
 # group-side checks
 
 
-def run_group_checks(inst: Instance) -> list[CheckResult]:
+def run_group_checks(inst: Instance, ds: DeltaSets) -> list[CheckResult]:
     out: list[CheckResult] = []
     G = inst.group
     p = inst.prime
     real = inst.s_real
-    base = real.group
     subject = inst.instance_id
     rep_g = cores(G, p)
 
-    # (P, cores(N_G(P)), cores(C_G(P))) per G-class of nontrivial P <= S
+    # (P, P in Delta, P in Delta*, cores(C_G(P))) per G-class of nontrivial
+    # P <= S, that is per F_S(G)-class, each led by its least mask
     reps = []
-    seen = set()
-    for mask in base.subgroup_masks():
-        if mask == 1:
+    for data in inst.fusion.classes():
+        P = data.representative
+        if P == 1:
             continue
-        parent = real.mask_to_parent(mask)
-        canon = G.canonical_conjugate(parent)
-        if canon not in seen:
-            seen.add(canon)
-            nrep = cores(G.as_group(G.normalizer_mask(parent)).group, p)
-            crep = cores(G.as_group(G.centralizer_mask(parent)).group, p)
-            reps.append((parent, nrep, crep))
+        parent = real.mask_to_parent(P)
+        crep = cores(G.as_group(G.centralizer_mask(parent)).group, p)
+        reps.append((parent, P in ds.delta, P in ds.delta_star, crep))
 
     # characteristic p is inherited by local subgroups
     if rep_g.is_char_p:
         bad = [
             parent
-            for parent, nrep, crep in reps
-            if not nrep.is_char_p or not crep.is_char_p
+            for parent, char_p, _, crep in reps
+            if not char_p or not crep.is_char_p
         ]
         out.append(
             _passfail(
@@ -579,8 +575,8 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
     # N_G(P) and C_G(P) agree on (almost) characteristic p
     bad = [
         parent
-        for parent, nrep, crep in reps
-        if nrep.is_char_p != crep.is_char_p or nrep.is_almost_char_p != crep.is_almost_char_p
+        for parent, char_p, almost, crep in reps
+        if char_p != crep.is_char_p or almost != crep.is_almost_char_p
     ]
     out.append(
         _passfail(
@@ -796,10 +792,8 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
             for P in objs:
                 if not F.is_fully_normalized(P):
                     continue
+                # objective characteristic p already holds at every object
                 grp, _ = L.normalizer_group(P)
-                if not cores(grp, L.p).is_char_p:
-                    bad.append(P)
-                    continue
                 if p_part(grp.order, L.p) != popcount(base.normalizer_mask(P)):
                     bad.append(P)
             out.append(
@@ -1126,18 +1120,18 @@ def run_instance_checks(
     def done() -> bool:
         return fail_fast and any(r.status == "fail" and selected(r) for r in out)
 
-    out.extend(run_group_checks(inst))
+    ds = delta_sets(inst.group, inst.sylow, inst.prime, fusion=inst.fusion)
+    out.extend(run_group_checks(inst, ds))
     if not done():
         out.extend(run_fusion_checks(inst.fusion, subject, supplied_subsystems))
 
     if not done():
-        ds = delta_sets(inst.group, inst.sylow, inst.prime, s_real=inst.s_real, fusion=inst.fusion)
         td = theta_quotient(inst.group, inst.sylow, inst.prime, deltas=ds)
         out.extend(run_theta_checks(td, subject))
 
         # characteristic p-type: group version implies fusion version,
         # and then the all-objects locality is a linking locality over F
-        group_cpt = is_characteristic_p_type(inst.group, inst.sylow, inst.prime)
+        group_cpt = ds.characteristic_p_type
         fusion_cpt = is_characteristic_p_type_fusion(inst.fusion)
         out.append(
             _passfail(
@@ -1162,11 +1156,8 @@ def run_instance_checks(
                 )
         L_all = localities[all_objects]
         if group_cpt:
-            subc_nontrivial = {
-                P for P in inst.fusion.subgroups() if P != 1 and table[P].subcentric
-            }
             ok = (
-                set(all_objects) == subc_nontrivial
+                fusion_cpt
                 and L_all.is_linking_locality()
                 and L_all.fusion_system().maps_from == inst.fusion.maps_from
             )

@@ -45,7 +45,7 @@ class CorpusCache:
         if key not in self._deltas:
             inst = self.instance(name, prime)
             self._deltas[key] = delta_sets(
-                inst.group, inst.sylow, prime, s_real=inst.s_real, fusion=inst.fusion
+                inst.group, inst.sylow, prime, fusion=inst.fusion
             )
         return self._deltas[key]
 

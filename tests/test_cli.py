@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -159,6 +160,9 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
         # a JSON boolean as a cycle point, as a degree, and in a subsystem generator
         ("classify", "--file", {"name": "X", "degree": 3, "generators": [[[True, 2, 3]]]}),
         ("classify", "--file", {"name": "X", "degree": True, "generators": []}),
+        # a group name that is not a string
+        ("classify", "--file", {"name": ["X"], "degree": 2, "generators": [[[1, 2]]]}),
+        ("classify", "--file", {"name": {"a": 1}, "degree": 2, "generators": [[[1, 2]]]}),
         ("verify", "--subsystems", {"S4@p2": [{"normal": [[[True, 2], [3, 4]], [[1, 3], [2, 4]]], "kind": "p-power"}]}),
     ]
     # a malformed subsystem file is rejected while loading, before any check runs
@@ -172,6 +176,24 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
         args = [command, flag, str(path)] + (["--prime", "2"] if command == "classify" else [])
         code, _, err = run_cli(capsys, args)
         assert code == 3 and "error:" in err, (content, code, err)
+    # a degree whose permutations would overrun the table budget exits 3 before
+    # any of them is built; the address-space limit turns a regression into a
+    # MemoryError instead of gigabytes
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"name": "X", "degree": 50000000, "generators": [[[1, 2]]]}')
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionloc", "classify", "--file", str(huge), "--prime", "2"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error:") and "degree 50000000" in proc.stderr
 
 
 @pytest.fixture

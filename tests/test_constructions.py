@@ -2,17 +2,31 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
 
 from fusionloc.constructions import (
+    delta_sets,
     is_characteristic_p_type,
     is_characteristic_p_type_fusion,
     nontrivial,
 )
-from fusionloc.corpus import builtin_group
-from fusionloc.errors import NotClosed
-from fusionloc.groups import bits, popcount, sylow_p
+from fusionloc.corpus import BUILTINS, CorpusEntry, Instance, builtin_group
+from fusionloc.errors import NotClosed, NotSylow
+from fusionloc.groups import (
+    bits,
+    cores,
+    group_from_permutations,
+    is_prime,
+    p_part,
+    popcount,
+    sylow_p,
+)
 from fusionloc.locality import locality_from_group, verify_locality
+from fusionloc.verifier import run_group_checks
+from test_groups import small_perm_groups
 
 
 def test_delta_sets_s4(corpus):
@@ -68,6 +82,104 @@ def test_characteristic_p_type(corpus):
 
     D8 = builtin_group("D8")
     assert is_characteristic_p_type(D8, sylow_p(D8, 2), 2)
+
+
+def ref_is_characteristic_p_type(G, S, p) -> bool:
+    """Every normalizer of a nontrivial subgroup of S has characteristic p.
+
+    One cores(N_G(P)) per G-class of nontrivial subgroups of S, independent of
+    the fusion classes and of Delta.
+    """
+    if popcount(S.mask) != p_part(G.order, p):
+        raise NotSylow(f"{S.label()} is not Sylow in {G.label}")
+    real = G.as_group(S.mask)
+    base = real.group
+    seen_classes = set()
+    for mask in base.subgroup_masks():
+        if mask == 1:
+            continue
+        parent = real.mask_to_parent(mask)
+        canon = G.canonical_conjugate(parent)
+        if canon in seen_classes:
+            continue
+        seen_classes.add(canon)
+        nreal = G.as_group(G.normalizer_mask(parent))
+        if not cores(nreal.group, p).is_char_p:
+            return False
+    return True
+
+
+def ref_first_class_masks(G, S) -> list[int]:
+    """The least mask of each G-class of nontrivial subgroups of S, in the
+    order an ascending walk over the subgroups of S first meets them."""
+    real = G.as_group(S.mask)
+    seen, out = set(), []
+    for mask in real.group.subgroup_masks():
+        canon = G.canonical_conjugate(real.mask_to_parent(mask))
+        if mask != 1 and canon not in seen:
+            seen.add(canon)
+            out.append(mask)
+    return out
+
+
+def group_prime_pairs(G):
+    """(S, p) for each prime p dividing |G|."""
+    for p in range(2, G.order + 1):
+        if G.order % p == 0 and is_prime(p):
+            yield sylow_p(G, p), p
+
+
+def assert_cpt_matches_class_walk(G):
+    for S, p in group_prime_pairs(G):
+        ref = ref_is_characteristic_p_type(G, S, p)
+        assert is_characteristic_p_type(G, S, p) == ref, (G.label, p)
+        assert delta_sets(G, S, p).characteristic_p_type == ref, (G.label, p)
+
+
+def assert_group_checks_walk_classes(G):
+    # run_group_checks visits the nontrivial F-classes in the walk's order,
+    # at the walk's masks, and reads N_G(P) almost characteristic p from Delta*
+    for S, p in group_prime_pairs(G):
+        ds = delta_sets(G, S, p)
+        real = G.as_group(S.mask)
+        walk = ref_first_class_masks(G, S)
+        reps = [d.representative for d in ds.fusion.classes() if d.representative != 1]
+        assert reps == walk, (G.label, p)
+        flipped = walk[1::2] or walk
+        moved = {
+            P for d in ds.fusion.classes() if d.representative in flipped for P in d.members
+        }
+        inst = Instance(CorpusEntry(G.label, p), G, p, S, real, ds.fusion)
+        forged = replace(ds, delta_star=ds.delta_star ^ moved)
+        rows = {r.check_id: r for r in run_group_checks(inst, forged)}
+        row = rows["norm-cent-characteristic-agree"]
+        assert row.status == "fail", (G.label, p)
+        parent = real.mask_to_parent(flipped[0])
+        assert row.witness == f"subgroup {G.subgroup_label(parent)}", (G.label, p)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_characteristic_p_type_reads_delta(name):
+    assert_cpt_matches_class_walk(builtin_group(name))
+
+
+@given(small_perm_groups())
+@settings(max_examples=20, deadline=None)
+def test_characteristic_p_type_reads_delta_random(data):
+    degree, gens = data
+    assert_cpt_matches_class_walk(group_from_permutations(degree, gens, bound=200))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_group_checks_walk_fusion_classes(name):
+    assert_group_checks_walk_classes(builtin_group(name))
+
+
+@given(small_perm_groups())
+@settings(max_examples=20, deadline=None)
+def test_group_checks_walk_fusion_classes_random(data):
+    degree, gens = data
+    assert_group_checks_walk_classes(group_from_permutations(degree, gens, bound=200))
 
 
 def test_theta_trivial_cases(corpus):

@@ -173,7 +173,7 @@ def test_s_of_word_matches_reference_random(data, raw_words):
             continue
         S = sylow_p(G, prime)
         real = G.as_group(S.mask)
-        F = fusion_from_group(G, S, prime, s_real=real)
+        F = fusion_from_group(G, S, prime)
         table = F.classification_table()
         object_sets = (
             nontrivial(frozenset(real.group.subgroup_masks())),
@@ -342,6 +342,24 @@ def test_objective_and_linking_predicates(corpus):
     # N_L(central C2) = G is not of characteristic 2
     assert not LA.is_objective_char_p()
     assert not LA.is_linking_locality()
+
+
+def test_objective_char_p_computed_once(corpus, monkeypatch):
+    import fusionloc.locality as locality
+
+    calls = []
+
+    def counting_cores(H, p):
+        calls.append(H)
+        return cores(H, p)
+
+    inst = corpus.instance("S4", 2)
+    gamma = nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
+    L = locality_from_group(inst.group, inst.sylow, gamma, 2)
+    monkeypatch.setattr(locality, "cores", counting_cores)
+    assert L.is_objective_char_p() and L.is_objective_char_p()
+    assert L.is_linking_locality()
+    assert len(calls) == len(L.delta)
 
 
 def test_l_radical(corpus):

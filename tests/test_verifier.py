@@ -208,7 +208,7 @@ def test_fail_fast_ignores_unselected_failures(monkeypatch):
     # before the selected checks run
     import fusionloc.verifier as verifier
 
-    def failing_group_checks(inst):
+    def failing_group_checks(inst, ds):
         return [
             CheckResult(
                 "group-local-characteristic", inst.instance_id, "fail", witness="forced"
