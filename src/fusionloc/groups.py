@@ -268,6 +268,11 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self._flat[a * self.order + b]
 
+    def row(self, a: int) -> array:
+        """A copy of row a of the Cayley table: ``row(a)[b] == mul(a, b)``."""
+        n = self.order
+        return self._flat[a * n : a * n + n]
+
     def inv(self, a: int) -> int:
         return self._inv[a]
 

@@ -8,17 +8,19 @@ as bitmasks over S.
 The word domain is intensional: a word ``w`` lies in the domain iff ``S_w``
 (computed right to left as preimages under the per-element conjugation maps
 on S) is in Delta.
-Only binary products are stored; products of longer domain words are left
-folds of the binary product.  Constructors populate the binary product with
-exactly the pairs whose two-letter word is in the domain, and the verifier
-cross-checks that rule.
+The binary product is one dense table: ``rows[a][b]`` is ab, or -1 when the
+word (a, b) is outside the domain.  Products of longer domain words are left
+folds of it.  Constructors fill the table at exactly the pairs whose
+two-letter word is in the domain, and the verifier cross-checks that rule.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     NotAnObject,
@@ -49,14 +51,47 @@ WORD_CAP = 120_000
 WORD_SEED = 0
 
 
+class ProductView(Mapping):
+    """Read-only ``{(a, b): ab}`` over the defined pairs of a product table,
+    iterated in row-major order."""
+
+    def __init__(self, rows: tuple[array, ...]) -> None:
+        self._rows = rows
+        self._len: Optional[int] = None
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        a, b = key
+        n = len(self._rows)
+        c = self._rows[a][b] if 0 <= a < n and 0 <= b < n else -1
+        if c < 0:
+            raise KeyError(key)
+        return c
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for a, row in enumerate(self._rows):
+            for b, c in enumerate(row):
+                if c >= 0:
+                    yield (a, b)
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = sum(len(row) - row.count(-1) for row in self._rows)
+        return self._len
+
+
 class Locality:
-    """A finite locality (L, Delta, S); ``prod2`` and ``conj_s`` never change in place."""
+    """A finite locality (L, Delta, S).
+
+    ``rows[a][b]`` is the product ab, or -1 where the word (a, b) is outside
+    the domain; ``prod2`` reads the same table as a mapping over the defined
+    pairs.  ``rows`` and ``conj_s`` never change in place.
+    """
 
     def __init__(
         self,
         size: int,
         inv: tuple[int, ...],
-        prod2: dict[tuple[int, int], int],
+        rows: Sequence[array],
         s_ids: tuple[int, ...],
         s_group: FiniteGroup,
         delta: frozenset[int],
@@ -68,9 +103,24 @@ class Locality:
         source_group: Optional[FiniteGroup] = None,
         source_ids: Optional[tuple[int, ...]] = None,
     ) -> None:
+        # a negative index would wrap to the last row, so the tables hold
+        # carrier ids only (and -1 for undefined products)
+        if len(inv) != size or (size and (min(inv) < 0 or max(inv) >= size)):
+            raise VerificationFailed("inversion table is not a map on the carrier")
+        rows = tuple(rows)
+        if len(rows) != size:
+            raise VerificationFailed(f"product table has {len(rows)} rows, not {size}")
+        for a, row in enumerate(rows):
+            if len(row) != size:
+                raise VerificationFailed(f"product table row {a} has length {len(row)}")
+            if size and (min(row) < -1 or max(row) >= size):
+                raise VerificationFailed(
+                    f"product table row {a} holds an entry outside -1..{size - 1}"
+                )
         self.size = size
         self.inv = inv
-        self.prod2 = prod2
+        self.rows = rows
+        self.prod2 = ProductView(rows)
         self.s_ids = s_ids
         self.s_group = s_group
         self.s_pos = {x: i for i, x in enumerate(s_ids)}
@@ -85,8 +135,8 @@ class Locality:
         self._fusion: Optional[FusionSystem] = None
         self._axioms: Optional[LocalityAxiomReport] = None
         self._objective: Optional[bool] = None
-        # memos; sound because prod2 and conj_s never change in place
-        self._preimages: dict[tuple[int, int], int] = {}
+        # memos; sound because rows and conj_s never change in place
+        self._pre: tuple[dict[int, int], ...] = tuple({} for _ in range(size))
         self._normalizers: dict[int, tuple[int, ...]] = {}
         self._norm_groups: dict[int, tuple[FiniteGroup, tuple[int, ...]]] = {}
 
@@ -104,31 +154,36 @@ class Locality:
         return self._s_of[f]
 
     def preimage(self, g: int, mask: int) -> int:
-        """{i in S_g : c_g(i) in mask}, memoised per (g, mask)."""
-        key = (g, mask)
-        out = self._preimages.get(key)
+        """{i in S_g : c_g(i) in mask} for a carrier element g, memoised per
+        element and mask."""
+        memo = self._pre[g]
+        out = memo.get(mask)
         if out is None:
             out = 0
             for i, j in self.conj_s[g].items():
                 if mask >> j & 1:
                     out |= 1 << i
-            self._preimages[key] = out
+            memo[mask] = out
         return out
 
     def s_of_word(self, word: Sequence[int]) -> int:
         """S_w as a mask over s_group indices; the empty word gives S.
 
-        Right to left: S_(g, w') is the preimage of S_w' under c_g.
+        Right to left: S_(g, w') is the preimage of S_w' under c_g.  Raises
+        ``NotInDomain`` for a letter outside the carrier.
         """
         mask = self.s_group.full_mask
         for g in reversed(word):
+            if not 0 <= g < self.size:
+                raise NotInDomain(f"letter {g} is not an element of {self.label}")
             mask = self.preimage(g, mask)
         return mask
 
     def word_in_domain(self, word: Sequence[int]) -> bool:
-        if any(not (0 <= x < self.size) for x in word):
+        try:
+            return self.s_of_word(word) in self.delta
+        except NotInDomain:
             return False
-        return self.s_of_word(word) in self.delta
 
     def product(self, word: Sequence[int]) -> int:
         """Product of a domain word (left fold); empty word gives identity."""
@@ -136,23 +191,26 @@ class Locality:
             raise NotInDomain(f"word {tuple(word)} not in the product domain")
         out = 0
         for x in word:
-            nxt = self.prod2.get((out, x))
-            if nxt is None:
+            out = self.rows[out][x]
+            if out < 0:
                 raise VerificationFailed(
                     f"fold undefined on domain word {tuple(word)}"
                 )
-            out = nxt
         return out
 
     def conj_elem(self, x: int, f: int) -> Optional[int]:
         """x^f when the word (f^-1, x, f) is in the domain, else None."""
-        word = (self.inv[f], x, f)
-        if not self.word_in_domain(word):
+        if not (0 <= x < self.size and 0 <= f < self.size):
             return None
-        a = self.prod2.get((self.inv[f], x))
-        if a is None:
+        fi = self.inv[f]
+        # S_(f^-1, x, f) is the preimage of S_(x, f) under c_(f^-1)
+        if self.preimage(fi, self.preimage(x, self._s_of[f])) not in self.delta:
             return None
-        return self.prod2.get((a, f))
+        a = self.rows[fi][x]
+        if a < 0:
+            return None
+        b = self.rows[a][f]
+        return b if b >= 0 else None
 
     def conj_mask(self, mask: int, f: int) -> Optional[int]:
         """Image of a subgroup mask of S under c_f, None if not all defined."""
@@ -209,8 +267,8 @@ class Locality:
         idset = set(ids)
 
         def mul(a: int, b: int) -> int:
-            c = self.prod2.get((a, b))
-            if c is None or c not in idset:
+            c = self.rows[a][b]
+            if c < 0 or c not in idset:
                 raise VerificationFailed(
                     f"{label}: product of {self.element_label(a)} and "
                     f"{self.element_label(b)} not defined inside the subset"
@@ -386,24 +444,25 @@ def locality_from_group(
     inv = tuple(pos[G.inv(g)] for g in carrier)
     s_ids = tuple(pos[x] for x in real.to_parent)
 
-    # in a group S_(a,b) = S_a cap S_ab
-    prod2: dict[tuple[int, int], int] = {}
-    for ia, ga in enumerate(carrier):
+    # in a group S_(a,b) = S_a cap S_ab.  targets[sa][g] is the carrier id
+    # of g = ab when S_a = sa and S_(a,b) is an object, else -1; a product
+    # that leaves the carrier reads -2, which the constructor refuses
+    position = [pos.get(g, -2) for g in range(G.order)]
+    targets: dict[int, list[int]] = {}
+    rows = []
+    for ga in carrier:
         sa = s_masks[ga]
-        for ib, gb in enumerate(carrier):
-            gab = G.mul(ga, gb)
-            if (sa & s_masks[gab]) in gamma:
-                target = pos.get(gab)
-                if target is None:
-                    raise VerificationFailed(
-                        "product of carrier elements leaves the carrier"
-                    )
-                prod2[(ia, ib)] = target
+        tgt = targets.get(sa)
+        if tgt is None:
+            tgt = [t if (sa & m) in gamma else -1 for t, m in zip(position, s_masks)]
+            targets[sa] = tgt
+        grow = G.row(ga)
+        rows.append(array("i", map(tgt.__getitem__, map(grow.__getitem__, carrier))))
 
     return Locality(
         size=len(carrier),
         inv=inv,
-        prod2=prod2,
+        rows=rows,
         s_ids=s_ids,
         s_group=base,
         delta=gamma,
@@ -467,9 +526,10 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     check("inversion-involutory", ok, "inv map malformed")
 
     # identity laws
+    rows, s_of, pre, delta = L.rows, L._s_of, L.preimage, L.delta
     bad = None
     for x in range(n):
-        if L.prod2.get((0, x)) != x or L.prod2.get((x, 0)) != x:
+        if rows[0][x] != x or rows[x][0] != x:
             bad = x
             break
     check("identity-laws", bad is None, f"element {bad}" if bad is not None else None)
@@ -477,14 +537,11 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     # binary domain rule, both directions; S_(a,b) is the preimage of S_b under c_a
     bad = None
     for a in range(n):
+        row = rows[a]
         for b in range(n):
-            indom = L.preimage(a, L.s_of(b)) in L.delta
-            stored = (a, b) in L.prod2
-            if indom != stored:
+            indom = pre(a, s_of[b]) in delta
+            if indom != (row[b] >= 0):
                 bad = (a, b, "missing" if indom else "extra")
-                break
-            if stored and not (0 <= L.prod2[(a, b)] < n):
-                bad = (a, b, "target outside carrier")
                 break
         if bad:
             break
@@ -492,13 +549,17 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
 
     # left cancellation: ab = c implies a^-1 c = b; and a a^-1 = 1
     bad = None
-    for (a, b), c in L.prod2.items():
-        if L.prod2.get((L.inv[a], c)) != b:
-            bad = (a, b, "left cancellation")
+    for a in range(n):
+        back = rows[L.inv[a]]
+        for b, c in enumerate(rows[a]):
+            if c >= 0 and back[c] != b:
+                bad = (a, b, "left cancellation")
+                break
+        if bad:
             break
     if bad is None:
         for a in range(n):
-            if L.prod2.get((a, L.inv[a])) != 0:
+            if rows[a][L.inv[a]] != 0:
                 bad = (a, "inverse product")
                 break
     check("cancellation", bad is None, str(bad))
@@ -507,58 +568,55 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     # the exhaustive words sharing S_(b,c) across a
     triples: Iterable[tuple[tuple[int, int, int], int]]
     if n**3 <= WORD_CAP:
-        suffixes = [(b, c, L.s_of_word((b, c))) for b in range(n) for c in range(n)]
-        triples = (
-            ((a, b, c), L.preimage(a, m)) for a in range(n) for b, c, m in suffixes
-        )
+        suffixes = [(b, c, pre(b, s_of[c])) for b in range(n) for c in range(n)]
+        triples = (((a, b, c), pre(a, m)) for a in range(n) for b, c, m in suffixes)
     else:
         sampled = (
             (rng.randrange(n), rng.randrange(n), rng.randrange(n))
             for _ in range(WORD_CAP // 10)
         )
-        triples = ((w, L.s_of_word(w)) for w in sampled)
+        triples = ((w, pre(w[0], pre(w[1], s_of[w[2]]))) for w in sampled)
     bad = None
     for w, sw in triples:
         if not L.s_group.is_subgroup_mask(sw):
             bad = (w, "S_w is not a subgroup")
             break
-        if sw not in L.delta:
+        if sw not in delta:
             continue
         a, b, c = w
-        ab = L.prod2.get((a, b))
-        bc = L.prod2.get((b, c))
-        if ab is None or bc is None:
+        ab = rows[a][b]
+        bc = rows[b][c]
+        if ab < 0 or bc < 0:
             bad = (w, "fold undefined on domain word")
             break
-        left = L.prod2.get((ab, c))
-        right = L.prod2.get((a, bc))
-        if left is None or right is None or left != right:
+        left = rows[ab][c]
+        if left < 0 or left != rows[a][bc]:
             bad = (w, "bracketings disagree")
             break
-        if sw & ~L.s_of(left):
+        if sw & ~s_of[left]:
             bad = (w, "S_w not inside S of the product")
             break
     check("length3-domain-and-associativity", bad is None, str(bad))
 
-    # length-4 sampled associativity over domain words
+    # length-4 sampled associativity over domain words: all five bracketings
+    # ((ab)c)d, (ab)(cd), (a(bc))d, a((bc)d) and a(b(cd)) defined and equal
     bad = None
     count4 = min(WORD_CAP // 20, n**4)
+    draw = rng.randrange
     for _ in range(count4):
-        w = tuple(rng.randrange(n) for _ in range(4))
-        if L.s_of_word(w) not in L.delta:
+        a, b, c, d = draw(n), draw(n), draw(n), draw(n)
+        if pre(a, pre(b, pre(c, s_of[d]))) not in delta:
             continue
-        vals = set()
-        ok4 = True
-        a, b, c, d = w
-        for split in _bracketings_4():
-            v = split(L, a, b, c, d)
-            if v is None:
-                ok4 = False
-                break
-            vals.add(v)
-        if not ok4 or len(vals) != 1:
-            bad = (w, "length-4 bracketings disagree or undefined")
-            break
+        ra = rows[a]
+        ab, bc, cd = ra[b], rows[b][c], rows[c][d]
+        if ab >= 0 and bc >= 0 and cd >= 0:
+            ab_c, a_bc, bc_d, b_cd = rows[ab][c], ra[bc], rows[bc][d], rows[b][cd]
+            if ab_c >= 0 and a_bc >= 0 and bc_d >= 0 and b_cd >= 0:
+                v = rows[ab_c][d]
+                if v >= 0 and v == rows[ab][cd] == rows[a_bc][d] == ra[bc_d] == ra[b_cd]:
+                    continue
+        bad = ((a, b, c, d), "length-4 bracketings disagree or undefined")
+        break
     check("length4-associativity-sampled", bad is None, str(bad))
 
     # (L1) no p-subgroup properly contains S
@@ -620,9 +678,10 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
             if L.inv[a] not in idset:
                 bad = (P, a, "inverse escapes")
                 break
+            row = rows[a]
             for b in ids:
-                c = L.prod2.get((a, b))
-                if c is None or c not in idset:
+                c = row[b]
+                if c < 0 or c not in idset:
                     bad = (P, (a, b), "product escapes or undefined")
                     break
             if bad:
@@ -636,9 +695,8 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     for f in range(n):
         for i, j in L.conj_s[f].items():
             s = L.s_ids[i]
-            a = L.prod2.get((L.inv[f], s))
-            b = L.prod2.get((a, f)) if a is not None else None
-            if b != L.s_ids[j]:
+            a = rows[L.inv[f]][s]
+            if a < 0 or rows[a][f] != L.s_ids[j]:
                 bad = (f, s)
                 break
         if bad:
@@ -647,37 +705,6 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
 
     L._axioms = LocalityAxiomReport(checks=tuple(checks))
     return L._axioms
-
-
-def _bracketings_4():
-    def b1(L, a, b, c, d):  # ((ab)c)d
-        ab = L.prod2.get((a, b))
-        abc = L.prod2.get((ab, c)) if ab is not None else None
-        return L.prod2.get((abc, d)) if abc is not None else None
-
-    def b2(L, a, b, c, d):  # (ab)(cd)
-        ab = L.prod2.get((a, b))
-        cd = L.prod2.get((c, d))
-        if ab is None or cd is None:
-            return None
-        return L.prod2.get((ab, cd))
-
-    def b3(L, a, b, c, d):  # (a(bc))d
-        bc = L.prod2.get((b, c))
-        abc = L.prod2.get((a, bc)) if bc is not None else None
-        return L.prod2.get((abc, d)) if abc is not None else None
-
-    def b4(L, a, b, c, d):  # a((bc)d)
-        bc = L.prod2.get((b, c))
-        bcd = L.prod2.get((bc, d)) if bc is not None else None
-        return L.prod2.get((a, bcd)) if bcd is not None else None
-
-    def b5(L, a, b, c, d):  # a(b(cd))
-        cd = L.prod2.get((c, d))
-        bcd = L.prod2.get((b, cd)) if cd is not None else None
-        return L.prod2.get((a, bcd)) if bcd is not None else None
-
-    return (b1, b2, b3, b4, b5)
 
 
 def _try_close_total(L: Locality, start: set[int], cap: int) -> Optional[set[int]]:
@@ -690,13 +717,13 @@ def _try_close_total(L: Locality, start: set[int], cap: int) -> Optional[set[int
     for x in list(members):
         members.add(L.inv[x])
     frontier = list(members)
+    rows = L.rows
     while frontier:
         added = []
         for a in list(members):
             for b in frontier:
-                for pair in ((a, b), (b, a)):
-                    c = L.prod2.get(pair)
-                    if c is None:
+                for c in (rows[a][b], rows[b][a]):
+                    if c < 0:
                         return None
                     if c not in members:
                         members.add(c)
@@ -736,9 +763,10 @@ def is_partial_normal(L: Locality, members: Iterable[int]) -> bool:
         if L.inv[x] not in mem:
             return False
     for a in mem:
+        row = L.rows[a]
         for b in mem:
-            c = L.prod2.get((a, b))
-            if c is not None and c not in mem:
+            c = row[b]
+            if c >= 0 and c not in mem:
                 return False
     for f in range(L.size):
         for x in mem:
@@ -751,8 +779,8 @@ def is_partial_normal(L: Locality, members: Iterable[int]) -> bool:
 def right_coset(L: Locality, members: frozenset[int], f: int) -> frozenset[int]:
     out = {f}
     for x in members:
-        y = L.prod2.get((x, f))
-        if y is not None:
+        y = L.rows[x][f]
+        if y >= 0:
             out.add(y)
     return frozenset(out)
 
@@ -792,25 +820,28 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
             raise VerificationFailed("inversion ill-defined on cosets")
         inv.append(targets.pop())
 
-    prod2: dict[tuple[int, int], int] = {}
-    for ia, ca in enumerate(maximal):
+    rows = []
+    for ca in maximal:
+        row = array("i", [-1]) * n
         for ib, cb in enumerate(maximal):
             vals = set()
             for a in ca:
+                ra = L.rows[a]
                 for b in cb:
-                    c = L.prod2.get((a, b))
-                    if c is not None:
+                    c = ra[b]
+                    if c >= 0:
                         vals.add(proj[c])
             if len(vals) > 1:
                 raise VerificationFailed("coset product ill-defined")
             if vals:
-                prod2[(ia, ib)] = vals.pop()
+                row[ib] = vals.pop()
+        rows.append(row)
 
     sbar_ids = tuple(sorted({proj[x] for x in L.s_ids}))
 
     def mul(a: int, b: int) -> int:
-        c = prod2.get((a, b))
-        if c is None:
+        c = rows[a][b]
+        if c < 0:
             raise VerificationFailed("image of S not closed in quotient")
         return c
 
@@ -848,7 +879,7 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
     quot = Locality(
         size=n,
         inv=tuple(inv),
-        prod2=prod2,
+        rows=rows,
         s_ids=tuple(ordered),
         s_group=s_group,
         delta=frozenset(delta_bar),
@@ -887,14 +918,18 @@ def _sub_locality(
         f for f in range(L.size) if admits(f) and (L.s_of(f) & t_mask) in gamma
     )
     pos = {f: i for i, f in enumerate(carrier)}
-    prod2 = {}
-    for ia, fa in enumerate(carrier):
+    rows = []
+    for fa in carrier:
+        src = L.rows[fa]
+        row = array("i", [-1]) * len(carrier)
         for ib, fb in enumerate(carrier):
-            if (fa, fb) in L.prod2 and (L.s_of_word((fa, fb)) & t_mask) in gamma:
-                target = pos.get(L.prod2[(fa, fb)])
+            ab = src[fb]
+            if ab >= 0 and (L.preimage(fa, L.s_of(fb)) & t_mask) in gamma:
+                target = pos.get(ab)
                 if target is None:
                     raise VerificationFailed(f"restricted product leaves {label}")
-                prod2[(ia, ib)] = target
+                row[ib] = target
+        rows.append(row)
 
     if t_mask == L.s_group.full_mask:
         s_group, t_index = L.s_group, {i: i for i in range(len(L.s_ids))}
@@ -915,7 +950,7 @@ def _sub_locality(
     out = Locality(
         size=len(carrier),
         inv=tuple(pos[L.inv[f]] for f in carrier),
-        prod2=prod2,
+        rows=rows,
         s_ids=tuple(pos[L.s_ids[i]] for i in t_index),
         s_group=s_group,
         delta=frozenset(translate_mask(P, t_index) for P in gamma),
@@ -1103,5 +1138,7 @@ def locality_to_json(L: Locality) -> dict:
             }
             for P in L.objects_sorted()
         ],
-        "products": sorted([a, b, c] for (a, b), c in L.prod2.items()),
+        "products": [
+            [a, b, c] for a, row in enumerate(L.rows) for b, c in enumerate(row) if c >= 0
+        ],
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import fnmatch
 import random
+from array import array
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -22,6 +23,7 @@ from .constructions import (
     theta_quotient,
 )
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
+from .errors import VerificationFailed
 from .fusion import (
     AbstractProvenance,
     DerivedProvenance,
@@ -644,11 +646,16 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
         words = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
     else:
         words = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(4000)]
+    rows = L.rows
     for w in words:
-        sw = L.s_of_word(w)
+        a, b, c = w
+        sw = L.preimage(a, L.preimage(b, L.s_of(c)))
         if sw not in L.delta:
             continue
-        prod = L.product(w)
+        ab = rows[a][b]
+        prod = rows[ab][c] if ab >= 0 else -1
+        if prod < 0:
+            raise VerificationFailed(f"fold undefined on domain word {w}")
         cmap = L.conj_s[prod]
         for i in bits(sw):
             j = i
@@ -692,9 +699,10 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
                 if L.inv[a] not in idset:
                     bad = (R, a, "inverse escapes")
                     break
+                row = rows[a]
                 for b in ids:
-                    c = L.prod2.get((a, b))
-                    if c is not None and c not in idset:
+                    c = row[b]
+                    if c >= 0 and c not in idset:
                         bad = (R, (a, b), "product escapes")
                         break
                 if bad:
@@ -820,8 +828,8 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
                 prod = set()
                 for a in bits(theta):
                     for s in cs_ids:
-                        c = L.prod2.get((s, ordered[a]))
-                        if c is not None:
+                        c = rows[s][ordered[a]]
+                        if c >= 0:
                             prod.add(c)
                 if prod != set(ordered):
                     bad.append(P)
@@ -1037,17 +1045,21 @@ def mutate_fusion(F: FusionSystem, seed: int, count: int):
 
 
 def mutate_locality(L: Locality, seed: int, count: int):
-    """Yield (description, mutated locality) with one product entry deleted."""
+    """Yield (description, mutated locality) with one product entry deleted.
+
+    A mutant copies the one row it changes and shares the others with L.
+    """
     rng = random.Random(seed)
-    pool = sorted(L.prod2)
+    pool = list(L.prod2)
     for _ in range(count):
         key = pool[rng.randrange(len(pool))]
-        prod2 = dict(L.prod2)
-        del prod2[key]
+        a, b = key
+        row = array("i", L.rows[a])
+        row[b] = -1
         mutated = Locality(
             size=L.size,
             inv=L.inv,
-            prod2=prod2,
+            rows=L.rows[:a] + (row,) + L.rows[a + 1 :],
             s_ids=L.s_ids,
             s_group=L.s_group,
             delta=L.delta,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from fusionloc.errors import (
     NotInDomain,
     NotPartialNormal,
     ObjectSetMismatch,
+    VerificationFailed,
 )
 from fusionloc.fusion import full_aut_kset, fusion_from_group
 from fusionloc.groups import (
@@ -27,11 +30,13 @@ from fusionloc.groups import (
     sylow_p,
 )
 from fusionloc.locality import (
+    Locality,
     is_partial_normal,
     k_normalizer_locality,
     locality_from_group,
     quotient,
     restriction,
+    s_of_word,
     transporter_category,
     transporter_to_dot,
     transporter_to_json,
@@ -93,6 +98,17 @@ def locality_fields(L):
     )
 
 
+def assert_matches_reference(L, G, real, gamma):
+    expected = reference_locality_fields(G, real, gamma)
+    assert locality_fields(L) == expected
+    # the dense table reads -1 exactly at the pairs outside the domain
+    ref_prod2 = expected[3]
+    assert len(L.prod2) == len(ref_prod2)
+    assert [list(row) for row in L.rows] == [
+        [ref_prod2.get((a, b), -1) for b in range(L.size)] for a in range(L.size)
+    ]
+
+
 @pytest.mark.parametrize(
     "name,prime",
     [("S4", 2), ("A5", 2), ("SL23", 3), ("D8", 2), ("C2xS4", 2)],
@@ -109,8 +125,20 @@ def test_locality_from_group_matches_reference(corpus, name, prime):
         L = locality_from_group(
             inst.group, inst.sylow, gamma, prime, s_real=inst.s_real
         )
-        expected = reference_locality_fields(inst.group, inst.s_real, gamma)
-        assert locality_fields(L) == expected, kind
+        assert_matches_reference(L, inst.group, inst.s_real, gamma)
+
+
+def test_partial_product_matches_reference():
+    # S5 at p = 2 on all nontrivial objects: 56 elements, and about half of
+    # the pairs lie outside the domain, unlike on every corpus instance
+    G = group_from_permutations(5, [[[1, 2, 3, 4, 5]], [[1, 2]]])
+    S = sylow_p(G, 2)
+    real = G.as_group(S.mask)
+    gamma = nontrivial(frozenset(real.group.subgroup_masks()))
+    L = locality_from_group(G, S, gamma, 2, s_real=real)
+    assert L.size == 56 and len(L.prod2) == 1600
+    assert_matches_reference(L, G, real, gamma)
+    assert verify_locality(L).ok
 
 
 @given(small_perm_groups())
@@ -125,7 +153,7 @@ def test_locality_from_group_matches_reference_random(data):
         real = G.as_group(S.mask)
         gamma = nontrivial(frozenset(real.group.subgroup_masks()))
         L = locality_from_group(G, S, gamma, prime, s_real=real)
-        assert locality_fields(L) == reference_locality_fields(G, real, gamma)
+        assert_matches_reference(L, G, real, gamma)
 
 
 def reference_s_of_word(L, word):
@@ -257,20 +285,97 @@ def test_verify_locality_corpus(corpus):
         assert rep.ok, rep.failures()
 
 
+def with_entries(L, entries, label="broken"):
+    """A copy of L whose product table holds ``entries`` {(a, b): value};
+    only the rows it changes are copied."""
+    rows = list(L.rows)
+    for (a, b), value in entries.items():
+        if rows[a] is L.rows[a]:
+            rows[a] = array("i", rows[a])
+        rows[a][b] = value
+    return Locality(
+        size=L.size, inv=L.inv, rows=rows, s_ids=L.s_ids, s_group=L.s_group,
+        delta=L.delta, p=L.p, label=label, elt_names=L.elt_names, conj_s=L.conj_s,
+    )
+
+
+def retarget(L, seed):
+    """A copy of L with one defined product ab sent to another carrier id."""
+    rng = random.Random(seed)
+    pool = list(L.prod2)
+    a, b = pool[rng.randrange(len(pool))]
+    target = rng.choice([x for x in range(L.size) if x != L.rows[a][b]])
+    return with_entries(L, {(a, b): target}, label="retargeted")
+
+
 def test_mutation_breaks_axioms(corpus):
     L = corpus.locality_all("S4", 2)
-    prod2 = dict(L.prod2)
-    key = sorted(prod2)[41]
-    del prod2[key]
-    from fusionloc.locality import Locality
-
-    broken = Locality(
-        size=L.size, inv=L.inv, prod2=prod2, s_ids=L.s_ids, s_group=L.s_group,
-        delta=L.delta, p=L.p, label="broken", elt_names=L.elt_names, conj_s=L.conj_s,
-    )
+    key = sorted(L.prod2)[41]
+    broken = with_entries(L, {key: -1})
+    assert key not in broken.prod2 and len(broken.prod2) == len(L.prod2) - 1
     rep = verify_locality(broken)
     assert not rep.ok
     assert any(c.witness for c in rep.failures())
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_retargeted_product_detected(corpus, name):
+    L = corpus.locality_all(name, 2)
+    for seed in range(20):
+        rep = verify_locality(retarget(L, seed))
+        assert not rep.ok, seed
+        assert all(c.witness for c in rep.failures())
+
+
+def test_table_outside_carrier_refused(corpus):
+    L = corpus.locality_all("S4", 2)
+    n = L.size
+    # n would raise IndexError on a read and -2 would wrap to row n - 2
+    for value in (n, -2, n + 7, -n):
+        with pytest.raises(VerificationFailed, match="outside"):
+            with_entries(L, {(3, 5): value})
+    with pytest.raises(VerificationFailed, match="length"):
+        Locality(
+            size=n, inv=L.inv, rows=L.rows[:-1] + (L.rows[-1][:-1],),
+            s_ids=L.s_ids, s_group=L.s_group, delta=L.delta, p=L.p, conj_s=L.conj_s,
+        )
+    with pytest.raises(VerificationFailed, match="rows"):
+        Locality(
+            size=n, inv=L.inv, rows=L.rows[:-1], s_ids=L.s_ids,
+            s_group=L.s_group, delta=L.delta, p=L.p, conj_s=L.conj_s,
+        )
+    with pytest.raises(VerificationFailed, match="inversion"):
+        Locality(
+            size=n, inv=L.inv[:-1] + (-1,), rows=L.rows, s_ids=L.s_ids,
+            s_group=L.s_group, delta=L.delta, p=L.p, conj_s=L.conj_s,
+        )
+
+
+def test_prod2_view_reads_rows(corpus):
+    L = corpus.locality_all("S4", 2)
+    M = with_entries(L, {(2, 7): -1, (0, 4): -1})
+    keys = list(M.prod2)
+    assert keys == sorted(keys) and len(keys) == len(M.prod2) == L.size**2 - 2
+    assert M.prod2 == {(a, b): M.rows[a][b] for a, b in keys}
+    assert (2, 7) not in M.prod2 and M.prod2.get((0, 4)) is None
+    assert M.prod2[(2, 8)] == L.rows[2][8]
+    for key in ((2, 7), (-1, 0), (0, L.size)):
+        with pytest.raises(KeyError):
+            M.prod2[key]
+
+
+def test_word_letters_outside_carrier(corpus):
+    L = corpus.locality_all("S4", 2)
+    n = L.size
+    for word in ((-1,), (n,), (0, -1), (n + 3, 0), (1, 2, -5)):
+        with pytest.raises(NotInDomain):
+            s_of_word(L, word)
+        with pytest.raises(NotInDomain):
+            L.product(word)
+        assert not L.word_in_domain(word)
+    for x, f in ((0, n), (0, -1), (n, 0), (-1, 0), (-1, -1)):
+        assert L.conj_elem(x, f) is None
+    assert L.conj_elem(0, 1) == 0
 
 
 def test_s_of_examples(corpus):
@@ -498,7 +603,7 @@ def test_k_normalizer_at_trivial_q_is_restriction(corpus, name):
     assert L1.s_group is L.s_group and Lr.s_group is L.s_group
     assert incl == tuple(range(L.size))
     for field in (
-        "size", "inv", "prod2", "s_ids", "delta", "p", "elt_names",
+        "size", "inv", "rows", "prod2", "s_ids", "delta", "p", "elt_names",
         "source_group", "source_ids",
     ):
         assert getattr(L1, field) == getattr(Lr, field), field
@@ -590,8 +695,8 @@ def test_transporter_category(corpus):
         g, b2, c = tc.morphisms[rng.randrange(len(tc.morphisms))]
         if b != b2:
             continue
-        fg = L.prod2.get((f, g))
-        assert fg is not None
+        fg = L.rows[f][g]
+        assert fg >= 0
         assert fg in msets[(a, c)]
 
     tcA = transporter_category(corpus.locality_all("A5", 2))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,30 @@ def test_axiom_report_kept_on_locality(corpus):
     # mutated copies are new localities and are verified from scratch
     for desc, mutated in mutate_locality(L, seed=99, count=10):
         assert mutation_detected_locality(mutated), desc
+
+
+# For each all-objects locality: the entry mutate_locality(L, seed=99,
+# count=10) drops and the (check, witness) pairs verify_locality then fails,
+# recorded from the dict-backed product store that preceded the dense rows
+MUTATION_WITNESSES = json.loads(
+    (Path(__file__).parent / "mutation_witnesses.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(MUTATION_WITNESSES))
+def test_mutation_keys_and_witnesses_pinned(corpus, key):
+    name, prime = key.split("@p")
+    L = corpus.locality_all(name, int(prime))
+    got = []
+    for desc, mutated in mutate_locality(L, seed=99, count=10):
+        a, b = map(int, re.findall(r"\d+", desc))
+        assert mutated.rows[a][b] == -1 and (a, b) not in mutated.prod2
+        assert len(mutated.prod2) == len(L.prod2) - 1
+        # only the changed row is copied
+        assert sum(r is not s for r, s in zip(mutated.rows, L.rows)) == 1
+        failures = [[c.name, c.witness] for c in verify_locality(mutated).failures()]
+        got.append({"dropped": [a, b], "failures": failures})
+    assert got == MUTATION_WITNESSES[key]
 
 
 def test_supplied_index_subsystems(corpus):
