@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 from .constructions import delta_sets, nontrivial, theta_quotient
 from .corpus import BUILTINS, DEFAULT_CORPUS, builtin_group
@@ -29,11 +30,13 @@ from .groups import (
     sylow_p,
 )
 from .locality import (
-    locality_to_json,
+    Locality,
+    TransporterCategory,
     locality_from_group,
+    locality_head_json,
     transporter_category,
+    transporter_head_json,
     transporter_to_dot,
-    transporter_to_json,
     verify_locality,
 )
 from .verifier import run_corpus, run_locality_checks
@@ -45,6 +48,83 @@ EXIT_INPUT = 3
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """A JSON array that ``_write_json`` writes chunk by chunk.
+
+    ``chunks(indent)`` yields nonempty runs of items, each item laid out as
+    ``json.dumps(..., indent=2)`` lays out an array item at ``indent`` and
+    the items of one run joined by ``",\n"``.
+    """
+
+    chunks: Callable[[str], Iterator[str]]
+
+
+def _write_json(write: Callable[[str], object], obj, indent: str = "") -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` through ``write``,
+    with every ``_Stream`` in ``obj`` written as the array of its chunks.
+
+    Dicts are walked key by key in sorted order (their keys are strings);
+    every other value is one ``json.dumps`` re-indented to its depth, which
+    is safe because ``json.dumps`` escapes every newline inside a string.
+    """
+    inner = indent + "  "
+    if isinstance(obj, _Stream):
+        sep = "[\n"
+        for chunk in obj.chunks(inner):
+            write(sep)
+            write(chunk)
+            sep = ",\n"
+        write("[]" if sep == "[\n" else "\n" + indent + "]")
+    elif isinstance(obj, dict) and obj:
+        sep = "{\n"
+        for key in sorted(obj):
+            write(sep + inner + json.dumps(key) + ": ")
+            _write_json(write, obj[key], inner)
+            sep = ",\n"
+        write("\n" + indent + "}")
+    else:
+        write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+
+
+def _product_rows(L: Locality) -> _Stream:
+    """``locality_to_json(L)["products"]``, one chunk per row of ``L.rows``."""
+
+    def chunks(indent: str) -> Iterator[str]:
+        inner = "\n" + indent + "  "
+        # item (a, b, c) is head(a) + second[b] + third[c]
+        second = [f"{x},{inner}" for x in range(L.size)]
+        third = [f"{x}\n{indent}]" for x in range(L.size)]
+        for a, row in enumerate(L.rows):
+            head = f"{indent}[{inner}{a},{inner}"
+            items = [second[b] + third[c] for b, c in enumerate(row) if c >= 0]
+            if items:
+                yield head + (",\n" + head).join(items)
+
+    return _Stream(chunks)
+
+
+def _morphism_blocks(tc: TransporterCategory) -> _Stream:
+    """``transporter_to_json(tc)["morphisms"]``, 4096 items per chunk."""
+
+    def chunks(indent: str) -> Iterator[str]:
+        inner = "\n" + indent + "  "
+        head = f'{indent}{{{inner}"dst": '
+        f_key = f',{inner}"f": '
+        src_key = f',{inner}"src": '
+        tail = f"\n{indent}}}"
+        ms, block = tc.morphisms, 4096
+        for start in range(0, len(ms), block):
+            yield ",\n".join(
+                [
+                    f"{head}{b}{f_key}{f}{src_key}{a}{tail}"
+                    for f, a, b in ms[start : start + block]
+                ]
+            )
+
+    return _Stream(chunks)
 
 
 def _load_group(args) -> FiniteGroup:
@@ -160,7 +240,7 @@ def cmd_build(args) -> int:
     checks = run_locality_checks(L, subject=f"{G.label}@p{args.prime}")
     failures = [c for c in checks if c.status == "fail"]
     payload = {
-        "locality": locality_to_json(L),
+        "locality": {**locality_head_json(L), "products": _product_rows(L)},
         "axioms": [
             {"name": c.name, "passed": c.passed, "witness": c.witness}
             for c in axioms.checks
@@ -169,12 +249,13 @@ def cmd_build(args) -> int:
     }
     tc = transporter_category(L)
     if args.export == "json":
-        payload["transporter"] = transporter_to_json(tc)
+        payload["transporter"] = {**transporter_head_json(tc), "morphisms": _morphism_blocks(tc)}
     dot = transporter_to_dot(tc, collapse=args.collapse) if args.export == "dot" else None
 
     if args.out:
         with open(args.out + ".locality.json", "w", encoding="utf-8") as fh:
-            fh.write(_dump(payload))
+            _write_json(fh.write, payload)
+            fh.write("\n")
         if dot is not None:
             with open(args.out + ".transporter.dot", "w", encoding="utf-8") as fh:
                 fh.write(dot)
@@ -194,7 +275,9 @@ def cmd_build(args) -> int:
     else:
         if dot is not None:
             payload["transporter_dot"] = dot
-        sys.stdout.write(_dump(payload))
+        out = sys.stdout
+        _write_json(out.write, payload)
+        out.write("\n")
     if not axioms.ok or failures:
         return EXIT_VERIFICATION
     return EXIT_OK

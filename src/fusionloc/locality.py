@@ -20,6 +20,7 @@ import random
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -49,6 +50,22 @@ from .groups import (
 # word budget and sampling seed of verify_locality
 WORD_CAP = 120_000
 WORD_SEED = 0
+
+
+def draws(rng: random.Random, n: int) -> Iterator[int]:
+    """The endless stream ``rng.randrange(n), rng.randrange(n), ...``, lazily.
+
+    This is CPython's ``Random._randbelow_with_getrandbits`` inlined, so the
+    draws and the state ``rng`` is left in equal those of ``randrange``
+    (n = 1 still consumes bits) without its three Python calls per draw.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    while True:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        yield r
 
 
 class ProductView(Mapping):
@@ -571,10 +588,8 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
         suffixes = [(b, c, pre(b, s_of[c])) for b in range(n) for c in range(n)]
         triples = (((a, b, c), pre(a, m)) for a in range(n) for b, c, m in suffixes)
     else:
-        sampled = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(WORD_CAP // 10)
-        )
+        letters = draws(rng, n)
+        sampled = islice(zip(letters, letters, letters), WORD_CAP // 10)
         triples = ((w, pre(w[0], pre(w[1], s_of[w[2]]))) for w in sampled)
     bad = None
     for w, sw in triples:
@@ -602,9 +617,8 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     # ((ab)c)d, (ab)(cd), (a(bc))d, a((bc)d) and a(b(cd)) defined and equal
     bad = None
     count4 = min(WORD_CAP // 20, n**4)
-    draw = rng.randrange
-    for _ in range(count4):
-        a, b, c, d = draw(n), draw(n), draw(n), draw(n)
+    letters = draws(rng, n)
+    for a, b, c, d in islice(zip(letters, letters, letters, letters), count4):
         if pre(a, pre(b, pre(c, s_of[d]))) not in delta:
             continue
         ra = rows[a]
@@ -1083,6 +1097,13 @@ def transporter_category(L: Locality) -> TransporterCategory:
 
 
 def transporter_to_json(tc: TransporterCategory) -> dict:
+    out = transporter_head_json(tc)
+    out["morphisms"] = [{"f": f, "src": a, "dst": b} for (f, a, b) in tc.morphisms]
+    return out
+
+
+def transporter_head_json(tc: TransporterCategory) -> dict:
+    """``transporter_to_json`` without its ``morphisms`` list."""
     L = tc.locality
     return {
         "objects": [
@@ -1094,9 +1115,6 @@ def transporter_to_json(tc: TransporterCategory) -> dict:
                 "rho_kernel": tc.rho_kernel_sizes[i],
             }
             for i, P in enumerate(tc.objects)
-        ],
-        "morphisms": [
-            {"f": f, "src": a, "dst": b} for (f, a, b) in tc.morphisms
         ],
         "aut_orders": {str(i): tc.aut_orders[i] for i in range(len(tc.objects))},
     }
@@ -1122,6 +1140,15 @@ def transporter_to_dot(tc: TransporterCategory, collapse: bool = False) -> str:
 
 
 def locality_to_json(L: Locality) -> dict:
+    out = locality_head_json(L)
+    out["products"] = [
+        [a, b, c] for a, row in enumerate(L.rows) for b, c in enumerate(row) if c >= 0
+    ]
+    return out
+
+
+def locality_head_json(L: Locality) -> dict:
+    """``locality_to_json`` without its ``products`` list."""
     return {
         "label": L.label,
         "carrier_size": L.size,
@@ -1137,8 +1164,5 @@ def locality_to_json(L: Locality) -> dict:
                 "members": [L.s_ids[i] for i in bits(P)],
             }
             for P in L.objects_sorted()
-        ],
-        "products": [
-            [a, b, c] for a, row in enumerate(L.rows) for b, c in enumerate(row) if c >= 0
         ],
     }

@@ -12,6 +12,7 @@ import fnmatch
 import random
 from array import array
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .constructions import (
@@ -60,6 +61,7 @@ from .groups import (
 from .locality import (
     Locality,
     QuotientData,
+    draws,
     is_partial_normal,
     locality_from_group,
     quotient,
@@ -645,7 +647,8 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
     if n**3 <= 40_000:
         words = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
     else:
-        words = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(4000)]
+        letters = draws(rng, n)
+        words = list(islice(zip(letters, letters, letters), 4000))
     rows = L.rows
     for w in words:
         a, b, c = w

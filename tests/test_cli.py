@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from fusionloc import cli
+from fusionloc.locality import locality_to_json, transporter_to_json
+from fusionloc.verifier import CheckResult
 
 
 def run_cli(capsys, args):
@@ -123,6 +127,132 @@ def test_build_deterministic(capsys, tmp_path):
     assert (tmp_path / "x.transporter.dot").read_bytes() == (
         tmp_path / "y.transporter.dot"
     ).read_bytes()
+
+
+ODD_NAME = 'S3 "quoted" \\ back\nslash \u00e9\u00fc\u4e09 \U0001d53e'
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--builtin", "C1", "--prime", "2"],
+        ["--builtin", "S4", "--prime", "2", "--export", "json"],
+        ["--builtin", "A5", "--prime", "2", "--export", "dot"],
+        ["--builtin", "S4", "--prime", "2", "--objects", "delta-star", "--quotient-theta"],
+        ["--file", "ODD", "--prime", "2", "--export", "json"],
+        ["--builtin", "S3", "--prime", "3", "--export", "json", "--fail"],
+    ],
+    ids=["C1", "S4-json", "A5-dot", "S4-theta", "odd-name", "failing"],
+)
+def test_build_writer_matches_dumps_oracle(capsys, tmp_path, monkeypatch, args):
+    # the streamed JSON of build equals json.dumps of the payload built from
+    # the dict forms locality_to_json and transporter_to_json, byte for byte
+    args = list(args)
+    odd = "ODD" in args
+    if odd:
+        group = tmp_path / "odd.json"
+        group.write_text(
+            json.dumps({"name": ODD_NAME, "degree": 3, "generators": [[[1, 2, 3]], [[1, 2]]]})
+        )
+        args[args.index("ODD")] = str(group)
+    expected_code = 0
+    if "--fail" in args:
+        args.remove("--fail")
+        expected_code = 2
+        forged = CheckResult("locality-axioms", "X@p3", "fail", witness='forged "w" \\ \n')
+        real_checks = cli.run_locality_checks
+        monkeypatch.setattr(
+            cli, "run_locality_checks", lambda L, subject: real_checks(L, subject) + [forged]
+        )
+    seen = []
+    real_tc = cli.transporter_category
+    monkeypatch.setattr(cli, "transporter_category", lambda L: seen.append(real_tc(L)) or seen[-1])
+
+    code, out, _ = run_cli(capsys, ["build", *args])
+    assert code == expected_code
+    data = json.loads(out)
+    tc = seen[-1]
+    oracle = {
+        "locality": locality_to_json(tc.locality),
+        "axioms": data["axioms"],
+        "checks": data["checks"],
+    }
+    if "--export" in args and args[args.index("--export") + 1] == "json":
+        oracle["transporter"] = transporter_to_json(tc)
+    if "dot" in args:
+        oracle["transporter_dot"] = cli.transporter_to_dot(tc)
+    assert out == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+    if odd:
+        assert data["locality"]["label"] == f"L({ODD_NAME})"
+
+    # --out writes the same bytes (without the DOT text, which goes to its own file)
+    prefix = tmp_path / "out"
+    code = cli.main(["build", *args, "--out", str(prefix)])
+    capsys.readouterr()
+    assert code == expected_code
+    written = (tmp_path / "out.locality.json").read_text(encoding="utf-8")
+    if "dot" not in args:
+        assert written == out
+    oracle.pop("transporter_dot", None)
+    assert written == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+    witnesses = tmp_path / "out.witnesses.json"
+    assert witnesses.exists() == (expected_code == 2)
+    if expected_code == 2:
+        assert json.loads(witnesses.read_text())["checks"] == [forged.as_json()]
+
+
+def test_write_json_edge_cases():
+    # an empty stream, an empty dict, and a newline inside a nested string
+    parts = []
+    obj = {"b": cli._Stream(lambda indent: iter(())), "a": {}, "c": [1, {"d": "x\ny"}]}
+    cli._write_json(parts.append, obj)
+    plain = {"b": [], "a": {}, "c": [1, {"d": "x\ny"}]}
+    assert "".join(parts) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+class HashSink:
+    """A text stream that keeps only the sha256 and length of what it gets."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.length = 0
+
+    def write(self, text: str) -> int:
+        self.digest.update(text.encode("utf-8"))
+        self.length += len(text)
+        return len(text)
+
+
+def test_build_writer_streams(tmp_path, monkeypatch):
+    # S6 at p = 2 with all objects: 5 MB of JSON, of which the writer holds
+    # only a row at a time (json.dumps of the whole payload peaked at 42 MB)
+    group = tmp_path / "S6.json"
+    group.write_text(
+        json.dumps({"name": "S6", "degree": 6, "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]})
+    )
+    peaks = []
+    write_json = cli._write_json
+
+    def traced(write, obj, indent=""):
+        if indent:
+            return write_json(write, obj, indent)
+        tracemalloc.start()
+        try:
+            write_json(write, obj, indent)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_json", traced)
+    sink = HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = cli.main(["build", "--file", str(group), "--prime", "2", "--objects", "all"])
+    monkeypatch.undo()
+    assert code == 0
+    assert sink.digest.hexdigest() == (
+        "1f67308c32510718de31d4978e727ea2a645208c33729e04275eb9a45c603dd0"
+    )
+    assert len(peaks) == 1 and peaks[0] < sink.length / 4, (peaks, sink.length)
 
 
 def test_input_errors(capsys, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import gc
 import random
 import weakref
 from array import array
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from fusionloc.groups import (
 )
 from fusionloc.locality import (
     Locality,
+    draws,
     is_partial_normal,
     k_normalizer_locality,
     locality_from_group,
@@ -747,3 +749,17 @@ def test_one_object_degenerate_locality():
     tc = transporter_category(L)
     assert len(tc.objects) == 1
     assert tc.aut_orders[0] == L.size
+
+
+def test_draws_equal_randrange():
+    # every carrier size up to |L| = 2224 (S7 at p = 2, all objects) covers
+    # each corpus and beyond-build locality, and n = 1, which still uses bits
+    for n in range(1, 2225):
+        fast, slow = random.Random(n), random.Random(n)
+        assert list(islice(draws(fast, n), 30)) == [slow.randrange(n) for _ in range(30)]
+        assert fast.getstate() == slow.getstate(), n
+    # a long run at one size, and the stream draws nothing ahead of its reader
+    fast, slow = random.Random(0), random.Random(0)
+    letters = draws(fast, 56)
+    assert [next(letters) for _ in range(50_000)] == [slow.randrange(56) for _ in range(50_000)]
+    assert fast.getstate() == slow.getstate()
