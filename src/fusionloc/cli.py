@@ -389,9 +389,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: argparse's objects form cycles, so a parser per call waits for gc
+PARSER = make_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, FusionlocError) as exc:

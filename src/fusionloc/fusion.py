@@ -15,6 +15,7 @@ inversion of isomorphisms.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -318,6 +319,11 @@ class CentralQuotient:
 # ---------------------------------------------------------------------------
 
 
+# K-normalizer subsystems by (base, carrier, p, morphism sets), held weakly: an
+# entry lives while the ``_local`` memo of a system that derived it holds it
+_K_NORMALIZERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class FusionSystem:
     """A fusion system over ``carrier`` inside the fixed base p-group."""
 
@@ -341,7 +347,9 @@ class FusionSystem:
         self._saturated: Optional[bool] = None
         self._saturation_witness: Optional[str] = None
         self._aut_groups: dict[int, tuple[FiniteGroup, tuple]] = {}
-        self._local: dict[tuple[int, frozenset], "FusionSystem"] = {}
+        # N^K(Q) by (Q, K); None stands for this system, which must not hold
+        # itself, or only the cyclic collector could free it
+        self._local: dict[tuple[int, frozenset], Optional["FusionSystem"]] = {}
         self._table: Optional[dict[int, Classification]] = None
         self._normals: Optional[tuple[int, ...]] = None
         self._center: Optional[int] = None
@@ -353,16 +361,13 @@ class FusionSystem:
     def subgroups(self) -> tuple[int, ...]:
         return self.base.subgroups_of(self.carrier)
 
-    def img(self, dom: int, images: Morphism) -> int:
-        return image_mask(images)
-
     def hom(self, P: int, Q: int) -> tuple[Morphism, ...]:
         return tuple(
-            sorted(m for m in self.maps_from[P] if self.img(P, m) & Q == self.img(P, m))
+            sorted(m for m in self.maps_from[P] if image_mask(m) & Q == image_mask(m))
         )
 
     def isos(self, P: int, Q: int) -> tuple[Morphism, ...]:
-        return tuple(sorted(m for m in self.maps_from[P] if self.img(P, m) == Q))
+        return tuple(sorted(m for m in self.maps_from[P] if image_mask(m) == Q))
 
     def auts(self, P: int) -> tuple[Morphism, ...]:
         return self.isos(P, P)
@@ -399,7 +404,7 @@ class FusionSystem:
                 nxt = []
                 for P in frontier:
                     for m in self.maps_from[P]:
-                        Q = self.img(P, m)
+                        Q = image_mask(m)
                         if Q not in orbit:
                             orbit.add(Q)
                             nxt.append(Q)
@@ -484,7 +489,7 @@ class FusionSystem:
         got = self._strongly_closed.get(Q)
         if got is None:
             got = all(
-                self.img(A, m) & Q == self.img(A, m)
+                image_mask(m) & Q == image_mask(m)
                 for A in self.base.subgroups_of(Q)
                 for m in self.maps_from[A]
             )
@@ -692,7 +697,7 @@ class FusionSystem:
     def local_subsystem(self, Q: int, K: "KAutSet | frozenset") -> "FusionSystem":
         """The K-normalizer subsystem over N_S^K(Q); saturation is not checked.
 
-        K-normalizer subsystems are interned on the base group: systems whose
+        K-normalizer subsystems are interned per base group: systems whose
         carrier and morphism sets agree are one object, so their classes,
         saturation and classification are computed once.  The label is the
         one the object was first built with.
@@ -704,10 +709,10 @@ class FusionSystem:
         else:
             kset = frozenset(K)
         key = (Q, kset)
-        out = self._local.get(key)
-        if out is None:
-            out = self._local[key] = self._k_normalizer_subsystem(Q, kset)
-        return out
+        if key not in self._local:
+            out = self._k_normalizer_subsystem(Q, kset)
+            self._local[key] = None if out is self else out
+        return self._local[key] or self
 
     def _k_normalizer_subsystem(self, Q: int, kset: frozenset) -> "FusionSystem":
         if not self.is_fully_k_normalized(Q, kset):
@@ -729,10 +734,10 @@ class FusionSystem:
                     )
                 maps[A].add(phi)
         maps_from = {m: frozenset(s) for m, s in maps.items()}
-        key = (new_carrier, self.p, frozenset(maps_from.items()))
-        out = base._k_normalizers.get(key)
+        key = (base, new_carrier, self.p, frozenset(maps_from.items()))
+        out = _K_NORMALIZERS.get(key)
         if out is None:
-            out = base._k_normalizers[key] = FusionSystem(
+            out = _K_NORMALIZERS[key] = FusionSystem(
                 base,
                 new_carrier,
                 self.p,
@@ -811,31 +816,31 @@ def fusion_from_group(
         raise NotSylow(f"{S.label()} is not a Sylow {p}-subgroup of {G.label}")
     real = G.as_group(S.mask)
     base = real.group
+    partials = conjugation_partials(G, real, range(G.order))
     return FusionSystem(
         base,
         base.full_mask,
         p,
-        _conjugation_maps(G, real, base.full_mask, range(G.order)),
+        maps_from_partials(base, base.full_mask, partials),
         GroupProvenance(group=G, s_real=real),
         label=f"F_{S.label()}({G.label})",
     )
 
 
-def _conjugation_maps(
-    G: FiniteGroup, real: RealizedSubgroup, t_mask: int, conjugators: Iterable[int]
-) -> dict[int, frozenset]:
-    """Maps induced on the subgroups of T (a mask over the realized S) by
-    conjugation with each element of ``conjugators``, where defined inside T."""
-    base = real.group
+def conjugation_partials(
+    G: FiniteGroup, real: RealizedSubgroup, conjugators: Iterable[int]
+) -> list[dict[int, int]]:
+    """For each g in ``conjugators``, c_g on S cap S^(g^-1) as a partial index
+    map {i: j} over the realized S, with keys in increasing order."""
     partials = []
     for g in conjugators:
         partial = {}
-        for i in base.mask_elements(t_mask):
-            j = real.index_of.get(G.conj(real.to_parent[i], g))
+        for i, x in enumerate(real.to_parent):
+            j = real.index_of.get(G.conj(x, g))
             if j is not None:
                 partial[i] = j
         partials.append(partial)
-    return maps_from_partials(base, t_mask, partials)
+    return partials
 
 
 def abstract_fusion(
@@ -940,11 +945,12 @@ def subsystem_from_normal_subgroup(F: FusionSystem, n_mask: int) -> Subsystem:
     if p_part(popcount(n_mask), F.p) != popcount(t_parent):
         raise NotSylowInN("N cap S is not Sylow in N")
     t_mask = real.mask_from_parent(t_parent)
+    partials = conjugation_partials(G, real, G.mask_elements(n_mask))
     E = FusionSystem(
         real.group,
         t_mask,
         F.p,
-        _conjugation_maps(G, real, t_mask, G.mask_elements(n_mask)),
+        maps_from_partials(real.group, t_mask, partials),
         NormalSubgroupProvenance(group=G, s_real=real, n_mask=n_mask),
         label=f"F_T(N<{G.label})",
     )

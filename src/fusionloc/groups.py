@@ -259,9 +259,6 @@ class FiniteGroup:
         self._normals: Optional[tuple[int, ...]] = None
         self._class_reps: Optional[tuple[int, ...]] = None
         self._elt_order: dict[int, int] = {}
-        # K-normalizer fusion systems over this group, interned by
-        # ``FusionSystem.local_subsystem`` on (carrier, p, morphism sets)
-        self._k_normalizers: dict[tuple, object] = {}
 
     # -- basic arithmetic ---------------------------------------------------
 

@@ -33,7 +33,14 @@ from .errors import (
     ObjectSetMismatch,
     VerificationFailed,
 )
-from .fusion import FusionSystem, LocalityProvenance, locality_fusion, restrict_partial
+from .fusion import (
+    FusionSystem,
+    LocalityProvenance,
+    conjugation_partials,
+    image_mask,
+    locality_fusion,
+    restrict_partial,
+)
 from .groups import (
     FiniteGroup,
     RealizedSubgroup,
@@ -442,17 +449,8 @@ def locality_from_group(
     gamma = frozenset(gamma)
 
     # c_g on S_g for every g in G; all later steps read this one table
-    cmaps: list[dict[int, int]] = []
-    s_masks: list[int] = []
-    for g in range(G.order):
-        cmap, s_mask = {}, 0
-        for i, x in enumerate(real.to_parent):
-            j = real.index_of.get(G.conj(x, g))
-            if j is not None:
-                cmap[i] = j
-                s_mask |= 1 << i
-        cmaps.append(cmap)
-        s_masks.append(s_mask)
+    cmaps = conjugation_partials(G, real, range(G.order))
+    s_masks = [image_mask(cmap.keys()) for cmap in cmaps]
     _validate_gamma(base, gamma, zip(s_masks, cmaps))
 
     # carrier: g with S cap S^g in Gamma (= the domain of c_{g^-1})
@@ -1045,7 +1043,6 @@ class TransporterCategory:
     morphisms: tuple[tuple[int, int, int], ...]  # (f, src index, dst index)
     aut_orders: tuple[int, ...]
     rho_kernel_sizes: tuple[int, ...]
-    epsilon_counts: tuple[int, ...]
 
 
 def transporter_category(L: Locality) -> TransporterCategory:
@@ -1065,8 +1062,6 @@ def transporter_category(L: Locality) -> TransporterCategory:
     morphisms.sort()
     aut_orders = []
     rho_kernels = []
-    eps_counts = []
-    s_set = set(L.s_ids)
     for i, P in enumerate(objects):
         auts = [m for m in morphisms if m[1] == i and m[2] == i]
         norm = L.normalizer_ids(P)
@@ -1085,14 +1080,12 @@ def transporter_category(L: Locality) -> TransporterCategory:
         if set(kern) != set(cent):
             raise VerificationFailed("rho kernel differs from C_L(P)")
         rho_kernels.append(len(kern))
-        eps_counts.append(sum(1 for (f, a, b) in morphisms if a == i and f in s_set))
     return TransporterCategory(
         locality=L,
         objects=objects,
         morphisms=tuple(morphisms),
         aut_orders=tuple(aut_orders),
         rho_kernel_sizes=tuple(rho_kernels),
-        epsilon_counts=tuple(eps_counts),
     )
 
 

@@ -249,7 +249,7 @@ def run_fusion_checks(
         if not table[Q].subcentric:
             continue
         for m in F.maps_from[Q]:
-            if not table[F.img(Q, m)].subcentric:
+            if not table[image_mask(m)].subcentric:
                 bad.append(Q)
                 break
         else:
@@ -423,7 +423,7 @@ def _ambient_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
             if not te[P].subcentric:
                 continue
             for m in F.maps_from[P]:
-                img = F.img(P, m)
+                img = image_mask(m)
                 if img & E.carrier != img or not te[img].subcentric:
                     bad.append(P)
                     break

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import fnmatch
+import gc
 import hashlib
 import json
 import os
@@ -9,12 +11,16 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from argparse import ArgumentParser
 
 import pytest
 
 from fusionloc import cli
-from fusionloc.locality import locality_to_json, transporter_to_json
-from fusionloc.verifier import CheckResult
+from fusionloc.corpus import DEFAULT_CORPUS, build_instance
+from fusionloc.fusion import FusionSystem
+from fusionloc.groups import FiniteGroup, RealizedSubgroup
+from fusionloc.locality import Locality, locality_to_json, transporter_to_json
+from fusionloc.verifier import CheckResult, run_instance_checks
 
 
 def run_cli(capsys, args):
@@ -341,12 +347,23 @@ def small_corpus(monkeypatch):
 
 
 def test_verify_only_subset(capsys, tmp_path, small_corpus):
-    out_json = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, ["verify", "--json", str(out_json)])
-    assert code == 0
-    data = json.loads(out_json.read_text())
-    assert data["failures"] == 0
-    assert "checks" in data and data["checks"] > 0
+    def report(*args):
+        out_json = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, ["verify", *args, "--json", str(out_json)])
+        assert code == 0
+        return json.loads(out_json.read_text())
+
+    full = report()
+    assert full["failures"] == 0
+    assert full["checks"] == len(full["results"]) > 0
+    globs = ("theta-*", "fusion-wellformed", "*locality*", "conjugation-*")
+    cases = [(glob, ()) for glob in globs] + [("*locality*", ("--fail-fast",))]
+    for glob, extra in cases:
+        # --only selects the rows of the full report, in the same order
+        rows = [r for r in full["results"] if fnmatch.fnmatch(r["check_id"], glob)]
+        assert rows, glob
+        got = report("--only", glob, *extra)
+        assert got == {"results": rows, "failures": 0, "checks": len(rows)}
 
 
 def test_verify_only_without_match(capsys, small_corpus):
@@ -395,3 +412,55 @@ def test_supplied_subsystem_file(capsys, tmp_path):
     )
     assert report.results
     assert all(r.status == "pass" for r in report.results)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        *(
+            pytest.param(
+                lambda e=e: run_instance_checks(build_instance(e)), id=f"{e.name}@p{e.prime}"
+            )
+            for e in DEFAULT_CORPUS
+        ),
+        pytest.param(
+            lambda: cli.main(["classify", "--builtin", "S4", "--prime", "2"]), id="classify"
+        ),
+        pytest.param(
+            lambda: cli.main(["build", "--builtin", "S4", "--prime", "2", "--objects", "all"]),
+            id="build-all",
+        ),
+        pytest.param(
+            lambda: cli.main(
+                [
+                    "build", "--builtin", "SL23", "--prime", "3",
+                    "--objects", "delta-star", "--quotient-theta",
+                ]
+            ),
+            id="build-theta",
+        ),
+    ],
+)
+def test_no_reference_cycles(capsys, run):
+    # every fusionloc object, and the CLI's argument parser, is freed by
+    # reference counting: no cache holds its owner, so none waits for the
+    # cyclic collector
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        left = [
+            type(o).__name__
+            for o in gc.garbage
+            if isinstance(
+                o, (FiniteGroup, RealizedSubgroup, FusionSystem, Locality, ArgumentParser)
+            )
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert left == []

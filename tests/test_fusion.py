@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 import fusionloc.fusion as fu
-from fusionloc.corpus import builtin_group
+from fusionloc.corpus import CorpusEntry, build_instance, builtin_group
 from fusionloc.errors import NotCentral, NotFullyKNormalized, NotSaturated, NotSylow
 from fusionloc.fusion import (
     abstract_fusion,
@@ -391,19 +393,21 @@ def test_fusion_hom_filter(corpus):
                 assert tuple(base.mask_elements(P)) in set(F.hom(P, Q))
 
 
-@pytest.mark.parametrize("name", ["S4", "A5", "SL23"])
-def test_k_normalizers_interned_per_base(corpus, name):
-    inst = corpus.instance(name, 2)
-    F = inst.fusion
-    run_fusion_checks(F, inst.instance_id)
-    table = F.base._k_normalizers
+def k_normalizers_of(base):
+    """The fusion layer's interned K-normalizer systems over ``base``."""
+    return [E for key, E in fu._K_NORMALIZERS.items() if key[0] is base]
+
+
+def check_k_normalizer_interning(F):
+    """The interning assertions; a function, so none of its locals outlives it."""
+    table = k_normalizers_of(F.base)
     assert table
 
     def content(E):
         return (E.carrier, frozenset(E.maps_from.items()))
 
     # one object per (carrier, morphism sets)
-    assert len({content(E) for E in table.values()}) == len(table)
+    assert len({content(E) for E in table}) == len(table)
 
     # (Q, K) pairs with equal K-normalizer morphism sets share one object
     by_content: dict = {}
@@ -417,8 +421,25 @@ def test_k_normalizers_interned_per_base(corpus, name):
         assert all(E is systems[0] for E in systems)
 
     # cached saturation agrees with the independent Sylow + extension oracle
-    for E in table.values():
+    for E in table:
         assert E.is_saturated() == ref_saturated_alternative(E)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "SL23"])
+def test_k_normalizers_interned_per_base(name):
+    # a fresh instance: the session corpus would keep its systems alive
+    inst = build_instance(CorpusEntry(name, 2))
+    run_fusion_checks(inst.fusion, inst.instance_id)
+    base = inst.fusion.base
+    check_k_normalizer_interning(inst.fusion)
+    # the table holds its systems weakly, and no cycle keeps one alive, so
+    # dropping the ambient system empties it without the cyclic collector
+    gc.disable()
+    try:
+        del inst
+        assert not k_normalizers_of(base)
+    finally:
+        gc.enable()
 
 
 def ref_conj_fusion_maps(L, ids, carrier):
