@@ -229,7 +229,7 @@ def cmd_build(args) -> int:
     if args.quotient_theta:
         td = theta_quotient(G, S, args.prime)
         if td.findings:
-            sys.stderr.write("\n".join(td.findings) + "\n")
+            sys.stderr.write("".join(text + "\n" for _, text in td.findings))
             return EXIT_VERIFICATION
         L = td.quotient
     else:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotSaturated, NotSylow, VerificationFailed
+from .errors import NotPartialNormal, NotSaturated, NotSylow, VerificationFailed
 from .fusion import FusionSystem, fusion_from_group, maps_equal_under_index_map
 from .groups import (
     FiniteGroup,
@@ -32,7 +32,6 @@ from .locality import (
     Locality,
     PartialNormalSubgroup,
     QuotientData,
-    is_partial_normal,
     locality_from_group,
     quotient,
 )
@@ -141,7 +140,8 @@ class ThetaData:
 
     ``object_kernels`` maps each object P to Theta(N_G(P)) as carrier ids of
     the locality (ids of elements outside the carrier are left out and
-    reported in ``findings``).
+    reported in ``findings``, which holds (``theta-*`` check id, text) pairs).
+    A trivial or not partial normal Theta leaves ``quotient`` = ``locality``.
     """
 
     deltas: DeltaSets
@@ -149,7 +149,7 @@ class ThetaData:
     theta: PartialNormalSubgroup
     quotient_data: Optional[QuotientData]
     quotient: Locality
-    findings: tuple[str, ...]
+    findings: tuple[tuple[str, str], ...]
     object_kernels: dict[int, frozenset[int]]
 
     @property
@@ -167,14 +167,15 @@ def theta_quotient(
 
     Structural assertions (Theta is partial normal, meets S trivially, the
     quotient has objective characteristic p and the same fusion system) are
-    recorded as findings rather than raised, except where construction is
-    impossible.
+    recorded as findings under their check ids rather than raised, except
+    where construction is impossible.
     """
     ds = deltas if deltas is not None else delta_sets(G, S, p)
     real = ds.s_real
     gamma = nontrivial(ds.delta_star)
     L = locality_from_group(G, S, gamma, p, label=f"L*({G.label})", s_real=real)
-    findings: list[str] = []
+    findings: list[tuple[str, str]] = []
+    note = findings.append
 
     # Theta(N_G(P)) per object, as elements of G
     object_theta: dict[int, frozenset[int]] = {}
@@ -189,44 +190,41 @@ def theta_quotient(
     }
     # Theta = union of the p'-cores of the object normalizers
     for g in sorted(frozenset().union(*object_theta.values()) - src_pos.keys()):
-        findings.append(f"Theta element {G.element_label(g)} outside carrier")
+        note(("theta-object-kernels", f"Theta element {G.element_label(g)} outside carrier"))
     theta = PartialNormalSubgroup(
         locality=L, members=frozenset({0}).union(*object_kernels.values())
     )
 
-    if not is_partial_normal(L, theta.members):
-        findings.append("Theta is not a partial normal subgroup")
-    smask_ids = set(L.s_ids)
-    if (set(theta.members) & smask_ids) != {0}:
-        findings.append("Theta meets S nontrivially")
+    if (set(theta.members) & set(L.s_ids)) != {0}:
+        note(("theta-meets-s-trivially", "Theta meets S nontrivially"))
 
-    if theta.members == frozenset({0}):
-        qd = None
-        quot = L
-    else:
-        qd = quotient(L, theta.members)
-        quot = qd.quotient
+    qd = None
+    if theta.members != frozenset({0}):
+        try:
+            qd = quotient(L, theta.members)
+        except NotPartialNormal:
+            note(("theta-partial-normal", "Theta is not a partial normal subgroup"))
         # per-object kernels: preimage of N_{L/Theta}(P-bar) inside N_L(P)
         for P in sorted(gamma):
             if not object_theta[P] <= src_pos.keys():
-                findings.append(
-                    f"object kernel outside carrier at {real.group.subgroup_label(P)}"
-                )
+                what = "object kernel outside carrier at"
             elif set(L.normalizer_ids(P)) & theta.members != object_kernels[P]:
-                findings.append(
-                    f"kernel mismatch at object {real.group.subgroup_label(P)}"
-                )
+                what = "kernel mismatch at object"
+            else:
+                continue
+            note(("theta-object-kernels", f"{what} {real.group.subgroup_label(P)}"))
+    quot = L if qd is None else qd.quotient
     if not quot.is_objective_char_p():
-        findings.append("quotient not of objective characteristic p")
+        note(("theta-quotient-objective", "quotient not of objective characteristic p"))
     if not quot.is_linking_locality():
-        findings.append("quotient is not a linking locality")
+        note(("theta-quotient-linking", "quotient is not a linking locality"))
     # fusion match under the identification of S with its image
     FQ = quot.fusion_system()
     if qd is None:
         if FQ.maps_from != ds.fusion.maps_from:
-            findings.append("fusion system mismatch")
+            note(("theta-fusion-match", "fusion system mismatch"))
     elif not maps_equal_under_index_map(ds.fusion, FQ, qd.s_index):
-        findings.append("fusion system mismatch after Theta quotient")
+        note(("theta-fusion-match", "fusion system mismatch after Theta quotient"))
     return ThetaData(
         deltas=ds,
         locality=L,

@@ -251,7 +251,6 @@ class FiniteGroup:
         self._mask_elems: dict[int, tuple[int, ...]] = {}
         self._closure: dict[int, int] = {}
         self._generators: dict[int, tuple[int, ...]] = {}
-        self._is_subgroup: dict[int, bool] = {}
         self._subgroups: Optional[tuple[int, ...]] = None
         self._maximal: dict[int, tuple[int, ...]] = {}
         self._sylow: dict[int, int] = {}
@@ -458,14 +457,12 @@ class FiniteGroup:
         return self.centralizer_mask(self.full_mask)
 
     def is_subgroup_mask(self, mask: int) -> bool:
-        got = self._is_subgroup.get(mask)
-        if got is None:
-            got = bool(mask & 1)
-            if got:
-                elems = self.mask_elements(mask)
-                got = all((mask >> self.mul(a, b)) & 1 for a in elems for b in elems)
-            self._is_subgroup[mask] = got
-        return got
+        """Whether ``mask`` is a subgroup: ``mask_generators`` spans it."""
+        try:
+            self.mask_generators(mask)
+        except NotASubgroup:
+            return False
+        return True
 
     def is_normal_mask(self, mask: int) -> bool:
         """Whether a subgroup mask is normal: every conjugate of one of its

@@ -258,6 +258,26 @@ class Locality:
             self._normalizers[mask] = out
         return out
 
+    def subgroup_gap(self, ids: Sequence[int] | frozenset[int], total: bool) -> Optional[tuple]:
+        """How the id set leaves itself, or None for a partial subgroup.
+
+        In the order of ``ids``: ``(a, "inverse escapes")`` for the first a
+        whose inverse is outside, else ``((a, b), "product escapes")`` for the
+        first defined product outside; with ``total``, an undefined product
+        also leaves, as ``((a, b), "product escapes or undefined")``.
+        """
+        idset = set(ids)
+        for a in ids:
+            if self.inv[a] not in idset:
+                return (a, "inverse escapes")
+            row = self.rows[a]
+            for b in ids:
+                c = row[b]
+                if c not in idset and (total or c >= 0):
+                    why = "product escapes or undefined" if total else "product escapes"
+                    return ((a, b), why)
+        return None
+
     def centralizer_ids(self, mask: int) -> tuple[int, ...]:
         out = []
         members = tuple(bits(mask))
@@ -405,30 +425,47 @@ def is_l_radical(L: Locality, mask: int) -> bool:
 # construction from a finite group
 
 
+def object_set_gap(
+    base: FiniteGroup,
+    gamma: frozenset[int],
+    s_masks: Sequence[int],
+    cmaps: Sequence[dict[int, int]],
+) -> Optional[tuple[int, int, str]]:
+    """The first gap in the closure of Gamma, or None when it is closed.
+
+    Objects P ascending, and for each P first ``(P, Q, "overgroup missing")``
+    for a subgroup Q >= P of ``base`` outside Gamma (Q ascending), then
+    ``(P, f, "conjugate missing")`` for the first f with P <= S_f and c_f(P)
+    outside Gamma, where S_f = ``s_masks[f]`` and c_f = ``cmaps[f]``.
+    """
+    for P in sorted(gamma):
+        for Q in base.subgroup_masks():
+            if P & Q == P and Q not in gamma:
+                return (P, Q, "overgroup missing")
+        for f, dom in enumerate(s_masks):
+            if P & dom == P and translate_mask(P, cmaps[f]) not in gamma:
+                return (P, f, "conjugate missing")
+    return None
+
+
 def _validate_gamma(
     base: FiniteGroup,
     gamma: frozenset[int],
-    conjugations: Iterable[tuple[int, dict[int, int]]],
+    s_masks: Sequence[int],
+    cmaps: Sequence[dict[int, int]],
 ) -> None:
-    """Gamma must be nonempty, closed under overgroups and each c_g of (S_g, c_g)."""
+    """Gamma must be nonempty subgroups, closed under overgroups and each c_f on S_f."""
     if not gamma:
         raise NotClosed("empty object set")
-    subgroups = set(base.subgroup_masks())
-    for P in gamma:
-        if P not in subgroups:
-            raise NotClosed(f"object {P} is not a subgroup mask")
-    for P in gamma:
-        for Q in subgroups:
-            if P & Q == P and Q not in gamma:
-                raise NotClosed(
-                    f"not closed under overgroups: {base.subgroup_label(Q)}"
-                )
-    for dom, cmap in conjugations:
-        for P in gamma:
-            if P & dom == P and translate_mask(P, cmap) not in gamma:
-                raise NotClosed(
-                    f"not closed under conjugation: {base.subgroup_label(P)}"
-                )
+    strays = gamma - set(base.subgroup_masks())
+    if strays:
+        raise NotClosed(f"object {min(strays)} is not a subgroup mask")
+    gap = object_set_gap(base, gamma, s_masks, cmaps)
+    if gap is not None:
+        P, x, kind = gap
+        if kind == "overgroup missing":
+            raise NotClosed(f"not closed under overgroups: {base.subgroup_label(x)}")
+        raise NotClosed(f"not closed under conjugation: {base.subgroup_label(P)}")
 
 
 def locality_from_group(
@@ -451,7 +488,7 @@ def locality_from_group(
     # c_g on S_g for every g in G; all later steps read this one table
     cmaps = conjugation_partials(G, real, range(G.order))
     s_masks = [image_mask(cmap.keys()) for cmap in cmaps]
-    _validate_gamma(base, gamma, zip(s_masks, cmaps))
+    _validate_gamma(base, gamma, s_masks, cmaps)
 
     # carrier: g with S cap S^g in Gamma (= the domain of c_{g^-1})
     carrier = [g for g in range(G.order) if s_masks[G.inv(g)] in gamma]
@@ -649,23 +686,7 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     check("L1-sylow-maximality", bad is None, f"element {bad} extends S" if bad is not None else None)
 
     # (L3) closure of Delta
-    bad = None
-    subgroups = set(L.s_group.subgroup_masks())
-    for P in L.objects_sorted():
-        for Q in subgroups:
-            if P & Q == P and Q not in L.delta:
-                bad = (P, Q, "overgroup missing")
-                break
-        if bad:
-            break
-        for f in range(n):
-            if L.s_of(f) & P == P:
-                img = L.conj_mask(P, f)
-                if img is not None and img not in L.delta:
-                    bad = (P, f, "conjugate missing")
-                    break
-        if bad:
-            break
+    bad = object_set_gap(L.s_group, delta, L._s_of, L.conj_s)
     check("L3-delta-closure", bad is None, str(bad))
 
     # S_f in Delta and S_f^f = S_{f^-1}
@@ -684,21 +705,9 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     # normalizers of objects are subgroups
     bad = None
     for P in L.objects_sorted():
-        ids = L.normalizer_ids(P)
-        idset = set(ids)
-        for a in ids:
-            if L.inv[a] not in idset:
-                bad = (P, a, "inverse escapes")
-                break
-            row = rows[a]
-            for b in ids:
-                c = row[b]
-                if c < 0 or c not in idset:
-                    bad = (P, (a, b), "product escapes or undefined")
-                    break
-            if bad:
-                break
-        if bad:
+        gap = L.subgroup_gap(L.normalizer_ids(P), total=True)
+        if gap is not None:
+            bad = (P, *gap)
             break
     check("object-normalizers-are-groups", bad is None, str(bad))
 
@@ -769,17 +778,8 @@ class QuotientData:
 
 def is_partial_normal(L: Locality, members: Iterable[int]) -> bool:
     mem = frozenset(members)
-    if 0 not in mem:
+    if 0 not in mem or L.subgroup_gap(mem, total=False) is not None:
         return False
-    for x in mem:
-        if L.inv[x] not in mem:
-            return False
-    for a in mem:
-        row = L.rows[a]
-        for b in mem:
-            c = row[b]
-            if c >= 0 and c not in mem:
-                return False
     for f in range(L.size):
         for x in mem:
             y = L.conj_elem(x, f)
@@ -983,8 +983,7 @@ def restriction(L: Locality, delta_sub: Iterable[int]) -> Locality:
     sub = frozenset(delta_sub)
     if not sub <= L.delta:
         raise NotClosed("object set not contained in Delta")
-    conjugations = ((L.s_of(f), L.conj_s[f]) for f in range(L.size))
-    _validate_gamma(L.s_group, sub, conjugations)
+    _validate_gamma(L.s_group, sub, L._s_of, L.conj_s)
     label = f"{L.label}|restricted"
     return _sub_locality(L, L.s_group.full_mask, sub, label, lambda f: True)[0]
 

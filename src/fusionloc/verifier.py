@@ -24,7 +24,7 @@ from .constructions import (
     theta_quotient,
 )
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
-from .errors import VerificationFailed
+from .errors import NotPartialNormal, VerificationFailed
 from .fusion import (
     AbstractProvenance,
     DerivedProvenance,
@@ -697,20 +697,9 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
     bad = None
     for R in base.subgroup_masks():
         for ids in (L.normalizer_ids(R), L.centralizer_ids(R)):
-            idset = set(ids)
-            for a in ids:
-                if L.inv[a] not in idset:
-                    bad = (R, a, "inverse escapes")
-                    break
-                row = rows[a]
-                for b in ids:
-                    c = row[b]
-                    if c >= 0 and c not in idset:
-                        bad = (R, (a, b), "product escapes")
-                        break
-                if bad:
-                    break
-            if bad:
+            gap = L.subgroup_gap(ids, total=False)
+            if gap is not None:
+                bad = (R, *gap)
                 break
         if bad:
             break
@@ -930,18 +919,18 @@ def run_quotient_checks(qd: QuotientData, subject: str) -> list[CheckResult]:
 
 
 def run_theta_checks(td: ThetaData, subject: str) -> list[CheckResult]:
-    mapping = (
-        ("theta-partial-normal", "partial normal"),
-        ("theta-meets-s-trivially", "meets S"),
-        ("theta-object-kernels", "kernel"),
-        ("theta-quotient-objective", "objective"),
-        ("theta-quotient-linking", "not a linking"),
-        ("theta-fusion-match", "fusion system mismatch"),
-    )
+    """One row per check id; its witness is the first finding under that id."""
     out = []
-    for cid, needle in mapping:
-        hits = [f for f in td.findings if needle in f]
-        out.append(_passfail(cid, subject, not hits, hits[0] if hits else None))
+    for cid in (
+        "theta-partial-normal",
+        "theta-meets-s-trivially",
+        "theta-object-kernels",
+        "theta-quotient-objective",
+        "theta-quotient-linking",
+        "theta-fusion-match",
+    ):
+        hit = next((text for fid, text in td.findings if fid == cid), None)
+        out.append(_passfail(cid, subject, hit is None, hit))
     return out
 
 
@@ -1215,9 +1204,10 @@ def run_instance_checks(
                 members = frozenset(
                     i for i, g in enumerate(L_all.source_ids) if (n_mask >> g) & 1
                 )
-                if not is_partial_normal(L_all, members):
+                try:
+                    qd = quotient(L_all, members)
+                except NotPartialNormal:
                     continue
-                qd = quotient(L_all, members)
                 out.extend(
                     run_quotient_checks(
                         qd, f"{subject}/L-all/N={G.subgroup_label(n_mask)}"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionloc.constructions import nontrivial
-from fusionloc.corpus import builtin_group
+from fusionloc.corpus import DEFAULT_CORPUS, builtin_group
 from fusionloc.errors import (
     NotAnObject,
     NotClosed,
@@ -21,7 +21,7 @@ from fusionloc.errors import (
     ObjectSetMismatch,
     VerificationFailed,
 )
-from fusionloc.fusion import full_aut_kset, fusion_from_group
+from fusionloc.fusion import conjugation_partials, full_aut_kset, fusion_from_group, image_mask
 from fusionloc.groups import (
     bits,
     cores,
@@ -29,13 +29,16 @@ from fusionloc.groups import (
     perm_from_cycles,
     popcount,
     sylow_p,
+    translate_mask,
 )
 from fusionloc.locality import (
     Locality,
     draws,
     is_partial_normal,
+    _validate_gamma,
     k_normalizer_locality,
     locality_from_group,
+    object_set_gap,
     quotient,
     restriction,
     s_of_word,
@@ -44,7 +47,7 @@ from fusionloc.locality import (
     transporter_to_json,
     verify_locality,
 )
-from fusionloc.verifier import regenerate
+from fusionloc.verifier import mutate_locality, regenerate
 from test_groups import small_perm_groups
 
 
@@ -763,3 +766,212 @@ def test_draws_equal_randrange():
     letters = draws(fast, 56)
     assert [next(letters) for _ in range(50_000)] == [slow.randrange(56) for _ in range(50_000)]
     assert fast.getstate() == slow.getstate()
+
+
+# ---------------------------------------------------------------------------
+# reference oracles for the closure owners: the loops each caller ran before
+# Locality.subgroup_gap and object_set_gap owned the tests
+
+
+def old_object_normalizers_witness(L):
+    """verify_locality's former object-normalizers-are-groups loop."""
+    rows = L.rows
+    bad = None
+    for P in L.objects_sorted():
+        ids = L.normalizer_ids(P)
+        idset = set(ids)
+        for a in ids:
+            if L.inv[a] not in idset:
+                bad = (P, a, "inverse escapes")
+                break
+            row = rows[a]
+            for b in ids:
+                c = row[b]
+                if c < 0 or c not in idset:
+                    bad = (P, (a, b), "product escapes or undefined")
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    return bad
+
+
+def old_partial_subgroups_witness(L):
+    """run_locality_checks' former normalizer-centralizer-partial-subgroups loop."""
+    rows = L.rows
+    bad = None
+    for R in L.s_group.subgroup_masks():
+        for ids in (L.normalizer_ids(R), L.centralizer_ids(R)):
+            idset = set(ids)
+            for a in ids:
+                if L.inv[a] not in idset:
+                    bad = (R, a, "inverse escapes")
+                    break
+                row = rows[a]
+                for b in ids:
+                    c = row[b]
+                    if c >= 0 and c not in idset:
+                        bad = (R, (a, b), "product escapes")
+                        break
+                if bad:
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    return bad
+
+
+def old_partial_normal_products(L, mem):
+    """The former inverse and product part of is_partial_normal."""
+    if 0 not in mem:
+        return False
+    for x in mem:
+        if L.inv[x] not in mem:
+            return False
+    for a in mem:
+        row = L.rows[a]
+        for b in mem:
+            c = row[b]
+            if c >= 0 and c not in mem:
+                return False
+    return True
+
+
+def first_gap(L, id_sets, total):
+    """(R, *gap) for the first id set of (R, ids) pairs that subgroup_gap rejects."""
+    for R, ids in id_sets:
+        gap = L.subgroup_gap(ids, total=total)
+        if gap is not None:
+            return (R, *gap)
+    return None
+
+
+def corpus_all_localities(corpus):
+    for e in DEFAULT_CORPUS:
+        yield e, corpus.locality_all(e.name, e.prime)
+
+
+def forged_localities(L, seed, count):
+    """Copies of L with one defined product moved to another element, or the
+    inverses of two elements swapped, so that products and inverses escape;
+    ``mutate_locality`` only drops products."""
+    rng = random.Random(seed)
+    pairs = list(L.prod2)
+    for k in range(count):
+        rows, inv = L.rows, list(L.inv)
+        if k % 2 and L.size > 2:
+            x, y = rng.sample(range(1, L.size), 2)
+            inv[x], inv[y] = inv[y], inv[x]
+        else:
+            a, b = pairs[rng.randrange(len(pairs))]
+            row = array("i", rows[a])
+            row[b] = (row[b] + 1) % L.size
+            rows = rows[:a] + (row,) + rows[a + 1 :]
+        yield f"forged {k}", Locality(
+            size=L.size, inv=tuple(inv), rows=rows, s_ids=L.s_ids, s_group=L.s_group,
+            delta=L.delta, p=L.p, conj_s=L.conj_s,
+        )
+
+
+def test_subgroup_gap_matches_old_loops(corpus):
+    kinds = set()
+    for e, L in corpus_all_localities(corpus):
+        subjects = [(L, "unmutated")] + [
+            (M, desc) for desc, M in mutate_locality(L, seed=18, count=20)
+        ] + [(M, desc) for desc, M in forged_localities(L, seed=18, count=10)]
+        for M, desc in subjects:
+            objects = [(P, M.normalizer_ids(P)) for P in M.objects_sorted()]
+            both = [
+                (R, ids)
+                for R in M.s_group.subgroup_masks()
+                for ids in (M.normalizer_ids(R), M.centralizer_ids(R))
+            ]
+            expected = old_object_normalizers_witness(M)
+            assert first_gap(M, objects, total=True) == expected, (e, desc)
+            expected_both = old_partial_subgroups_witness(M)
+            assert first_gap(M, both, total=False) == expected_both, (e, desc)
+            kinds.update(w[-1] for w in (expected, expected_both) if w is not None)
+            for _, ids in both:
+                mem = frozenset(ids)
+                new = 0 in mem and M.subgroup_gap(mem, total=False) is None
+                assert new == old_partial_normal_products(M, mem), (e, desc)
+    # every kind of witness occurred
+    assert kinds == {"inverse escapes", "product escapes", "product escapes or undefined"}
+
+
+def old_validate_gamma_closed(base, gamma, conjugations):
+    """The former _validate_gamma, as a verdict: True when Gamma passes."""
+    if not gamma:
+        return False
+    subgroups = set(base.subgroup_masks())
+    for P in gamma:
+        if P not in subgroups:
+            return False
+    for P in gamma:
+        for Q in subgroups:
+            if P & Q == P and Q not in gamma:
+                return False
+    for dom, cmap in conjugations:
+        for P in gamma:
+            if P & dom == P and translate_mask(P, cmap) not in gamma:
+                return False
+    return True
+
+
+def old_l3_witness(L, delta):
+    """verify_locality's former L3 loop, over the object set ``delta``."""
+    bad = None
+    subgroups = set(L.s_group.subgroup_masks())
+    for P in sorted(delta):
+        for Q in subgroups:
+            if P & Q == P and Q not in delta:
+                bad = (P, Q, "overgroup missing")
+                break
+        if bad:
+            break
+        for f in range(L.size):
+            if L.s_of(f) & P == P:
+                img = L.conj_mask(P, f)
+                if img is not None and img not in delta:
+                    bad = (P, f, "conjugate missing")
+                    break
+        if bad:
+            break
+    return bad
+
+
+def test_object_set_gap_matches_old_loops(corpus):
+    kinds = set()
+    for e, L in corpus_all_localities(corpus):
+        inst = corpus.instance(e.name, e.prime)
+        ds = corpus.deltas(e.name, e.prime)
+        table = inst.fusion.classification_table()
+        base = L.s_group
+        cmaps = conjugation_partials(inst.group, inst.s_real, range(inst.group.order))
+        s_masks = [image_mask(cmap.keys()) for cmap in cmaps]
+        sets = {
+            L.delta,
+            frozenset(P for P in inst.fusion.subgroups() if table[P].centric),
+            nontrivial(ds.delta_star),
+            nontrivial(ds.delta),
+        }
+        candidates = set(sets) | {gamma - {P} for gamma in sets for P in gamma}
+        verdicts = set()
+        for gamma in candidates:
+            closed = old_validate_gamma_closed(base, gamma, zip(s_masks, cmaps))
+            verdicts.add(closed)
+            try:
+                _validate_gamma(base, gamma, s_masks, cmaps)
+                assert closed, (e, sorted(gamma))
+            except NotClosed:
+                assert not closed, (e, sorted(gamma))
+            if gamma:
+                assert (object_set_gap(base, gamma, s_masks, cmaps) is None) == closed
+            # L3 over the all-objects locality's conjugation maps
+            old = old_l3_witness(L, gamma)
+            assert object_set_gap(base, gamma, L._s_of, L.conj_s) == old, (e, sorted(gamma))
+            kinds.add(old and old[-1])
+        assert verdicts == {True, False}, e
+    assert kinds == {None, "overgroup missing", "conjugate missing"}

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from fusionloc import cli, constructions
 from fusionloc.constructions import nontrivial, theta_quotient
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
 from fusionloc.fusion import FusionSystem, abstract_fusion, subsystem_from_normal_subgroup
@@ -26,6 +28,7 @@ from fusionloc.verifier import (
     run_fusion_checks,
     run_instance_checks,
     run_locality_checks,
+    run_theta_checks,
 )
 
 
@@ -261,3 +264,48 @@ def test_report_serialization_shape():
             assert "reason" in rec
     text = report.to_table()
     assert "failures" in text
+
+
+THETA_IDS = (
+    "theta-partial-normal",
+    "theta-meets-s-trivially",
+    "theta-object-kernels",
+    "theta-quotient-objective",
+    "theta-quotient-linking",
+    "theta-fusion-match",
+)
+
+
+@pytest.mark.parametrize("cid", THETA_IDS)
+def test_theta_finding_fails_its_own_row(corpus, cid):
+    # a finding is read by its check id, not by its text: the carrier-escape
+    # text names no kernel, yet fails theta-object-kernels
+    text = "Theta element (1,2) outside carrier"
+    td = replace(corpus.theta("S4", 2), findings=((cid, text),))
+    rows = run_theta_checks(td, "S4@p2")
+    assert [r.check_id for r in rows] == list(THETA_IDS)
+    assert [(r.check_id, r.witness) for r in rows if r.status == "fail"] == [(cid, text)]
+
+
+def first_p_prime_subgroup(H, p):
+    """The subgroup generated by the least p'-element of H other than 1."""
+    x = next((x for x in range(1, H.order) if H.element_order(x) % p), None)
+    return 1 if x is None else H.span([x])
+
+
+def test_theta_not_partial_normal_fails_its_row(monkeypatch, capsys):
+    # S3 at p = 3 with Theta(N_G(S)) generated by a transposition, not normal in S3
+    monkeypatch.setattr(constructions, "o_p_prime_mask", first_p_prime_subgroup)
+    finding = "Theta is not a partial normal subgroup"
+    inst = build_instance(CorpusEntry("S3", 3))
+    td = theta_quotient(inst.group, inst.sylow, 3)
+    assert td.findings == (("theta-partial-normal", finding),)
+    assert td.quotient is td.locality and td.quotient_data is None
+    rows = run_instance_checks(inst)
+    fails = [(r.check_id, r.subject, r.witness) for r in rows if r.status == "fail"]
+    assert fails == [("theta-partial-normal", "S3@p3", finding)]
+    assert not any(r.subject.endswith("/L-theta-quot") for r in rows)
+    args = ["build", "--builtin", "S3", "--prime", "3", "--objects", "delta-star"]
+    assert cli.main(args + ["--quotient-theta"]) == 2
+    err = capsys.readouterr().err
+    assert err == finding + "\n"
