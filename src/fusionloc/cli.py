@@ -17,18 +17,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .constructions import delta_sets, nontrivial, theta_quotient
-from .corpus import BUILTINS, DEFAULT_CORPUS, builtin_group
+from .constructions import nontrivial
+from .corpus import BUILTINS, DEFAULT_CORPUS, CorpusEntry, Instance, builtin_group
 from .errors import FusionlocError, ParseError, VerificationFailed
-from .fusion import fusion_from_group
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    load_group_file,
-    perm_from_cycles,
-    popcount,
-    sylow_p,
-)
+from .groups import load_group_file, perm_from_cycles, popcount
 from .locality import (
     Locality,
     TransporterCategory,
@@ -44,10 +36,6 @@ from .verifier import run_corpus, run_locality_checks
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
 EXIT_INPUT = 3
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -66,9 +54,10 @@ def _write_json(write: Callable[[str], object], obj, indent: str = "") -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True)`` through ``write``,
     with every ``_Stream`` in ``obj`` written as the array of its chunks.
 
-    Dicts are walked key by key in sorted order (their keys are strings);
-    every other value is one ``json.dumps`` re-indented to its depth, which
-    is safe because ``json.dumps`` escapes every newline inside a string.
+    Dicts are walked key by key in sorted order (their keys are strings),
+    lists and tuples item by item; ``json.dumps`` sees only keys and scalars,
+    so its pure-Python indenting encoder, which leaves a reference cycle
+    behind on every call, never runs.
     """
     inner = indent + "  "
     if isinstance(obj, _Stream):
@@ -85,8 +74,31 @@ def _write_json(write: Callable[[str], object], obj, indent: str = "") -> None:
             _write_json(write, obj[key], inner)
             sep = ",\n"
         write("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        # one write per list: with a write per item (thousands for the head
+        # of an order-720 locality), a one-pass in-process build of S6 at
+        # p = 2 into a StringIO peaked at 44 instead of 39 MB RSS
+        parts = []
+        for item in obj:
+            parts.append(",\n" + inner)
+            _write_json(parts.append, item, inner)
+        parts[0] = "[\n" + inner
+        parts.append("\n" + indent + "]")
+        write("".join(parts))
     else:
-        write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+        write(json.dumps(obj))
+
+
+def _dump(obj, path: Optional[str] = None) -> None:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, written to
+    ``path`` or else to stdout."""
+    if path is None:
+        _write_json(sys.stdout.write, obj)
+        sys.stdout.write("\n")
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_json(fh.write, obj)
+        fh.write("\n")
 
 
 def _product_rows(L: Locality) -> _Stream:
@@ -127,21 +139,21 @@ def _morphism_blocks(tc: TransporterCategory) -> _Stream:
     return _Stream(chunks)
 
 
-def _load_group(args) -> FiniteGroup:
+def _load_instance(args) -> Instance:
     if args.builtin is not None:
-        return builtin_group(args.builtin)
-    if args.file is not None:
-        return load_group_file(args.file)
-    raise ParseError("either --builtin or --file is required")
+        G = builtin_group(args.builtin)
+    elif args.file is not None:
+        G = load_group_file(args.file)
+    else:
+        raise ParseError("either --builtin or --file is required")
+    return Instance(CorpusEntry(G.label, args.prime), G)
 
 
-def _classification_report(G: FiniteGroup, p: int) -> dict:
-    S = sylow_p(G, p)
-    real = G.as_group(S.mask)
-    F = fusion_from_group(G, S, p)
-    base = real.group
+def _classification_report(inst: Instance) -> dict:
+    F = inst.fusion
+    base = inst.s_real.group
     table = F.classification_table()
-    ds = delta_sets(G, S, p, fusion=F)
+    ds = inst.deltas
     class_id = {}
     classes_json = []
     for i, data in enumerate(F.classes()):
@@ -180,10 +192,10 @@ def _classification_report(G: FiniteGroup, p: int) -> dict:
             }
         )
     return {
-        "group": G.label,
-        "order": G.order,
-        "prime": p,
-        "sylow_order": S.order,
+        "group": inst.group.label,
+        "order": inst.group.order,
+        "prime": inst.prime,
+        "sylow_order": inst.sylow.order,
         "saturated": F.is_saturated(),
         "classes": classes_json,
         "subgroups": records,
@@ -191,27 +203,17 @@ def _classification_report(G: FiniteGroup, p: int) -> dict:
 
 
 def cmd_classify(args) -> int:
-    G = _load_group(args)
-    report = _classification_report(G, args.prime)
-    text = _dump(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _dump(_classification_report(_load_instance(args)), args.out)
     return EXIT_OK
 
 
-def _object_masks(args, G: FiniteGroup, S: Subgroup, real) -> frozenset[int]:
-    base = real.group
-    choice = args.objects
+def _object_masks(choice: str, inst: Instance) -> frozenset[int]:
     if choice == "all":
-        return nontrivial(frozenset(base.subgroup_masks()))
+        return nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
     if choice in ("delta", "delta-star"):
-        ds = delta_sets(G, S, args.prime)
-        masks = ds.delta if choice == "delta" else ds.delta_star
-        return nontrivial(masks)
-    F = fusion_from_group(G, S, args.prime)
+        ds = inst.deltas
+        return nontrivial(ds.delta if choice == "delta" else ds.delta_star)
+    F = inst.fusion
     table = F.classification_table()
     if choice == "centric":
         return frozenset(P for P in F.subgroups() if table[P].centric)
@@ -221,23 +223,21 @@ def _object_masks(args, G: FiniteGroup, S: Subgroup, real) -> frozenset[int]:
 
 
 def cmd_build(args) -> int:
-    G = _load_group(args)
-    S = sylow_p(G, args.prime)
-    real = G.as_group(S.mask)
+    inst = _load_instance(args)
     if args.quotient_theta and args.objects != "delta-star":
         raise ParseError("--quotient-theta requires --objects delta-star")
     if args.quotient_theta:
-        td = theta_quotient(G, S, args.prime)
+        td = inst.theta
         if td.findings:
             sys.stderr.write("".join(text + "\n" for _, text in td.findings))
             return EXIT_VERIFICATION
         L = td.quotient
     else:
-        gamma = _object_masks(args, G, S, real)
-        L = locality_from_group(G, S, gamma, args.prime, s_real=real)
+        gamma = _object_masks(args.objects, inst)
+        L = locality_from_group(inst.group, inst.sylow, gamma, inst.prime, s_real=inst.s_real)
 
     axioms = verify_locality(L)
-    checks = run_locality_checks(L, subject=f"{G.label}@p{args.prime}")
+    checks = run_locality_checks(L, subject=inst.instance_id)
     failures = [c for c in checks if c.status == "fail"]
     payload = {
         "locality": {**locality_head_json(L), "products": _product_rows(L)},
@@ -253,31 +253,20 @@ def cmd_build(args) -> int:
     dot = transporter_to_dot(tc, collapse=args.collapse) if args.export == "dot" else None
 
     if args.out:
-        with open(args.out + ".locality.json", "w", encoding="utf-8") as fh:
-            _write_json(fh.write, payload)
-            fh.write("\n")
+        _dump(payload, args.out + ".locality.json")
         if dot is not None:
             with open(args.out + ".transporter.dot", "w", encoding="utf-8") as fh:
                 fh.write(dot)
         if not axioms.ok or failures:
-            with open(args.out + ".witnesses.json", "w", encoding="utf-8") as fh:
-                fh.write(
-                    _dump(
-                        {
-                            "axioms": [
-                                {"name": c.name, "witness": c.witness}
-                                for c in axioms.failures()
-                            ],
-                            "checks": [r.as_json() for r in failures],
-                        }
-                    )
-                )
+            witnesses = {
+                "axioms": [{"name": c.name, "witness": c.witness} for c in axioms.failures()],
+                "checks": [r.as_json() for r in failures],
+            }
+            _dump(witnesses, args.out + ".witnesses.json")
     else:
         if dot is not None:
             payload["transporter_dot"] = dot
-        out = sys.stdout
-        _write_json(out.write, payload)
-        out.write("\n")
+        _dump(payload)
     if not axioms.ok or failures:
         return EXIT_VERIFICATION
     return EXIT_OK
@@ -335,8 +324,7 @@ def cmd_verify(args) -> int:
         raise ParseError(f"--only {args.only!r} matches no check id")
     sys.stdout.write(report.to_table())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_dump(report.to_json_dict()))
+        _dump(report.to_json_dict(), args.json)
     return EXIT_VERIFICATION if report.failures else EXIT_OK
 
 

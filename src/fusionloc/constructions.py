@@ -16,18 +16,14 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotPartialNormal, NotSaturated, NotSylow, VerificationFailed
-from .fusion import FusionSystem, fusion_from_group, maps_equal_under_index_map
-from .groups import (
-    FiniteGroup,
-    RealizedSubgroup,
-    Subgroup,
-    bits,
-    cores,
-    o_p_prime_mask,
-    p_part,
-    popcount,
+from .errors import NotPartialNormal, NotSaturated, VerificationFailed
+from .fusion import (
+    FusionSystem,
+    GroupProvenance,
+    fusion_from_group,
+    maps_equal_under_index_map,
 )
+from .groups import FiniteGroup, Subgroup, bits, cores, o_p_prime_mask
 from .locality import (
     Locality,
     PartialNormalSubgroup,
@@ -42,11 +38,9 @@ SPOT_CHECK_SEED = 7
 
 @dataclass(frozen=True)
 class DeltaSets:
-    """Per-group object sets, as masks over the realized Sylow subgroup."""
+    """The object sets of F = F_S(G), as masks over the realized S; G and S
+    are read from F's provenance."""
 
-    group: FiniteGroup
-    s_real: RealizedSubgroup
-    p: int
     delta: frozenset[int]
     delta_star: frozenset[int]
     subcentric: frozenset[int]
@@ -62,21 +56,16 @@ class DeltaSets:
         return all(P in self.delta for P in self.fusion.subgroups() if P != 1)
 
 
-def delta_sets(
-    G: FiniteGroup,
-    S: Subgroup,
-    p: int,
-    fusion: Optional[FusionSystem] = None,
-) -> DeltaSets:
-    """Compute Delta, Delta* and the subcentric set, with invariant checks.
+def delta_sets(F: FusionSystem) -> DeltaSets:
+    """Delta, Delta* and the subcentric set of F = F_S(G), with invariant
+    checks.
 
     Membership is decided on fusion-class representatives and propagated along
     the class; a seeded spot check recomputes it directly on random members.
     """
-    if popcount(S.mask) != p_part(G.order, p):
-        raise NotSylow(f"{S.label()} is not Sylow in {G.label}")
-    real = G.as_group(S.mask)
-    F = fusion if fusion is not None else fusion_from_group(G, S, p)
+    if not isinstance(F.provenance, GroupProvenance):
+        raise TypeError(f"{F.label} is not the fusion system of a group")
+    G, real, p = F.provenance.group, F.provenance.s_real, F.p
     base = real.group
 
     def flags(mask: int) -> tuple[bool, bool]:
@@ -118,15 +107,7 @@ def delta_sets(
     quasi = {P for P in F.subgroups() if table[P].quasicentric}
     if not quasi <= delta_star:
         raise VerificationFailed("F^q <= Delta* violated")
-    return DeltaSets(
-        group=G,
-        s_real=real,
-        p=p,
-        delta=delta,
-        delta_star=delta_star,
-        subcentric=subc,
-        fusion=F,
-    )
+    return DeltaSets(delta=delta, delta_star=delta_star, subcentric=subc, fusion=F)
 
 
 def nontrivial(masks) -> frozenset[int]:
@@ -157,21 +138,16 @@ class ThetaData:
         return self.theta.members == frozenset({0})
 
 
-def theta_quotient(
-    G: FiniteGroup,
-    S: Subgroup,
-    p: int,
-    deltas: Optional[DeltaSets] = None,
-) -> ThetaData:
-    """Build the Delta* locality and its quotient by Theta.
+def theta_quotient(ds: DeltaSets) -> ThetaData:
+    """Build the Delta* locality of G and its quotient by Theta.
 
     Structural assertions (Theta is partial normal, meets S trivially, the
     quotient has objective characteristic p and the same fusion system) are
     recorded as findings under their check ids rather than raised, except
     where construction is impossible.
     """
-    ds = deltas if deltas is not None else delta_sets(G, S, p)
-    real = ds.s_real
+    G, real, p = ds.fusion.provenance.group, ds.fusion.provenance.s_real, ds.fusion.p
+    S = Subgroup(G, real.mask)
     gamma = nontrivial(ds.delta_star)
     L = locality_from_group(G, S, gamma, p, label=f"L*({G.label})", s_real=real)
     findings: list[tuple[str, str]] = []
@@ -188,7 +164,10 @@ def theta_quotient(
         P: frozenset(src_pos[g] for g in ts if g in src_pos)
         for P, ts in object_theta.items()
     }
-    # Theta = union of the p'-cores of the object normalizers
+    # Theta = union of the p'-cores of the object normalizers.  Neither
+    # carrier-escape finding below can fire on this Delta* locality: g in
+    # N_G(P) has P <= S cap S^g, and Delta* is closed under overgroups, so g
+    # lies in the carrier; they guard the construction, not the theory
     for g in sorted(frozenset().union(*object_theta.values()) - src_pos.keys()):
         note(("theta-object-kernels", f"Theta element {G.element_label(g)} outside carrier"))
     theta = PartialNormalSubgroup(
@@ -238,7 +217,7 @@ def theta_quotient(
 
 def is_characteristic_p_type(G: FiniteGroup, S: Subgroup, p: int) -> bool:
     """Every normalizer of a nontrivial subgroup of S has characteristic p."""
-    return delta_sets(G, S, p).characteristic_p_type
+    return delta_sets(fusion_from_group(G, S, p)).characteristic_p_type
 
 
 def is_characteristic_p_type_fusion(F: FusionSystem) -> bool:

@@ -1,4 +1,5 @@
-"""Builtin group presets and the default verification corpus.
+"""Builtin group presets, the default verification corpus, and ``Instance``,
+the one owner of every fact derived from a group at a prime.
 
 Builtins are stored as permutation generator presets (1-based cycles); the
 multiplication tables are built on demand.
@@ -7,7 +8,9 @@ multiplication tables are built on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from .constructions import DeltaSets, ThetaData, delta_sets, theta_quotient
 from .errors import CorpusLoadError
 from .fusion import FusionSystem, fusion_from_group
 from .groups import (
@@ -76,18 +79,40 @@ def builtin_group(name: str) -> FiniteGroup:
 
 @dataclass
 class Instance:
-    """One corpus instance: a group with a chosen prime, fully realized."""
+    """A group G at a prime p and the facts derived from them: the Sylow
+    subgroup S, realized, F_S(G), Delta/Delta* and the Theta quotient.  Each
+    is computed once, when first read."""
 
     entry: CorpusEntry
     group: FiniteGroup
-    prime: int
-    sylow: Subgroup
-    s_real: RealizedSubgroup
-    fusion: FusionSystem
+
+    @property
+    def prime(self) -> int:
+        return self.entry.prime
 
     @property
     def instance_id(self) -> str:
         return f"{self.entry.name}@p{self.prime}"
+
+    @cached_property
+    def sylow(self) -> Subgroup:
+        return sylow_p(self.group, self.prime)
+
+    @cached_property
+    def s_real(self) -> RealizedSubgroup:
+        return self.group.as_group(self.sylow.mask)
+
+    @cached_property
+    def fusion(self) -> FusionSystem:
+        return fusion_from_group(self.group, self.sylow, self.prime)
+
+    @cached_property
+    def deltas(self) -> DeltaSets:
+        return delta_sets(self.fusion)
+
+    @cached_property
+    def theta(self) -> ThetaData:
+        return theta_quotient(self.deltas)
 
 
 def build_instance(entry: CorpusEntry) -> Instance:
@@ -96,14 +121,4 @@ def build_instance(entry: CorpusEntry) -> Instance:
         raise CorpusLoadError(
             f"{entry.prime} does not divide |{entry.name}| = {group.order}"
         )
-    S = sylow_p(group, entry.prime)
-    real = group.as_group(S.mask)
-    F = fusion_from_group(group, S, entry.prime)
-    return Instance(
-        entry=entry,
-        group=group,
-        prime=entry.prime,
-        sylow=S,
-        s_real=real,
-        fusion=F,
-    )
+    return Instance(entry, group)

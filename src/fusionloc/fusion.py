@@ -384,7 +384,8 @@ class FusionSystem:
             def mul(a, b):
                 return compose_maps(self.base, a, P, b)
 
-            grp, ordered = group_from_elements(auts, mul, label=f"Aut({self.base.subgroup_label(P)})")
+            label = f"Aut({self.base.subgroup_label(P)})"
+            grp, ordered = group_from_elements(auts, mul, label=label)
             got = (grp, ordered)
             self._aut_groups[P] = got
         return got

@@ -683,7 +683,7 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
             if size == p_part(size, L.p) and size > len(L.s_ids):
                 bad = x
                 break
-    check("L1-sylow-maximality", bad is None, f"element {bad} extends S" if bad is not None else None)
+    check("L1-sylow-maximality", bad is None, None if bad is None else f"element {bad} extends S")
 
     # (L3) closure of Delta
     bad = object_set_gap(L.s_group, delta, L._s_of, L.conj_s)

@@ -15,14 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
-from .constructions import (
-    DeltaSets,
-    ThetaData,
-    delta_sets,
-    is_characteristic_p_type_fusion,
-    nontrivial,
-    theta_quotient,
-)
+from .constructions import ThetaData, is_characteristic_p_type_fusion, nontrivial
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
 from .errors import NotPartialNormal, VerificationFailed
 from .fusion import (
@@ -236,9 +229,10 @@ def run_fusion_checks(
     # six-way equivalence of the subcentric condition
     bad = []
     for data in F.classes():
-        six = F.subcentric_equivalences(data.representative)
-        if not six.agree() or six.all_normalizers_core_centric != table[data.representative].subcentric:
-            bad.append(data.representative)
+        P = data.representative
+        six = F.subcentric_equivalences(P)
+        if not six.agree() or six.all_normalizers_core_centric != table[P].subcentric:
+            bad.append(P)
     out.append(
         _passfail("subcentric-six-equivalent", subject, not bad, _min_witness(base, bad))
     )
@@ -397,11 +391,8 @@ def _ambient_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
         )
     )
 
-    # subsystems from normal subgroups of G
+    # subsystems from normal subgroups of G (N cap S is Sylow in N)
     for n_mask in G.normal_subgroup_masks():
-        t_parent = n_mask & real.mask
-        if p_part(popcount(n_mask), p) != popcount(t_parent):
-            continue
         sub = subsystem_from_normal_subgroup(F, n_mask)
         label = f"{subject}/N={G.subgroup_label(n_mask)}"
         E = sub.fusion
@@ -519,11 +510,12 @@ def check_index_subsystem(
 # group-side checks
 
 
-def run_group_checks(inst: Instance, ds: DeltaSets) -> list[CheckResult]:
+def run_group_checks(inst: Instance) -> list[CheckResult]:
     out: list[CheckResult] = []
     G = inst.group
     p = inst.prime
     real = inst.s_real
+    ds = inst.deltas
     subject = inst.instance_id
     rep_g = cores(G, p)
 
@@ -934,14 +926,13 @@ def run_theta_checks(td: ThetaData, subject: str) -> list[CheckResult]:
     return out
 
 
-def run_censubsystem_checks(
-    inst: Instance, td: ThetaData, subject: str
-) -> list[CheckResult]:
+def run_censubsystem_checks(inst: Instance) -> list[CheckResult]:
     """Centralizer-of-subsystem agreement between fusion and locality sides."""
     out: list[CheckResult] = []
     G = inst.group
     F = inst.fusion
-    real = inst.s_real
+    td = inst.theta
+    subject = inst.instance_id
     LQ = td.quotient
     if not LQ.is_linking_locality():
         return [_skip("subsystem-centralizer-match", subject, "no linking locality")]
@@ -957,9 +948,6 @@ def run_censubsystem_checks(
         proj = td.quotient_data.projection
 
     for n_mask in G.normal_subgroup_masks():
-        t_parent = n_mask & real.mask
-        if p_part(popcount(n_mask), F.p) != popcount(t_parent):
-            continue
         label = f"{subject}/N={G.subgroup_label(n_mask)}"
         # induced subset of the quotient locality
         src_members = [
@@ -998,16 +986,11 @@ def run_censubsystem_checks(
         sub = subsystem_from_normal_subgroup(F, n_mask)
         cs_group = centralizer_in_S_of_subsystem(F, sub.fusion)
         ok = ok and translate_mask(cs_group, idx) == cs_fusion
-        out.append(
-            _passfail(
-                "subsystem-centralizer-match",
-                label,
-                ok,
-                None
-                if ok
-                else f"fusion side {qbase.subgroup_label(cs_fusion)} vs set side {qbase.subgroup_label(cs_set)}",
-            )
-        )
+        witness = None
+        if not ok:
+            fusion_side, set_side = map(qbase.subgroup_label, (cs_fusion, cs_set))
+            witness = f"fusion side {fusion_side} vs set side {set_side}"
+        out.append(_passfail("subsystem-centralizer-match", label, ok, witness))
     return out
 
 
@@ -1124,18 +1107,17 @@ def run_instance_checks(
     def done() -> bool:
         return fail_fast and any(r.status == "fail" and selected(r) for r in out)
 
-    ds = delta_sets(inst.group, inst.sylow, inst.prime, fusion=inst.fusion)
-    out.extend(run_group_checks(inst, ds))
+    out.extend(run_group_checks(inst))
     if not done():
         out.extend(run_fusion_checks(inst.fusion, subject, supplied_subsystems))
 
     if not done():
-        td = theta_quotient(inst.group, inst.sylow, inst.prime, deltas=ds)
+        td = inst.theta
         out.extend(run_theta_checks(td, subject))
 
         # characteristic p-type: group version implies fusion version,
         # and then the all-objects locality is a linking locality over F
-        group_cpt = ds.characteristic_p_type
+        group_cpt = inst.deltas.characteristic_p_type
         fusion_cpt = is_characteristic_p_type_fusion(inst.fusion)
         out.append(
             _passfail(
@@ -1194,7 +1176,7 @@ def run_instance_checks(
                 run_quotient_checks(td.quotient_data, subject + "/L-theta-quot")
             )
         if not done():
-            out.extend(run_censubsystem_checks(inst, td, subject))
+            out.extend(run_censubsystem_checks(inst))
         # quotients by partial normal subgroups induced from normal subgroups
         if not done():
             G = inst.group

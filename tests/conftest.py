@@ -4,19 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from fusionloc.constructions import delta_sets, theta_quotient
-from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
-from fusionloc.groups import FiniteGroup, sylow_p
-from fusionloc.locality import locality_from_group
 from fusionloc.constructions import nontrivial
+from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
+from fusionloc.locality import locality_from_group
 
 
 class CorpusCache:
     def __init__(self) -> None:
         self._instances: dict[str, Instance] = {}
         self._localities = {}
-        self._deltas = {}
-        self._thetas = {}
 
     def instance(self, name: str, prime: int) -> Instance:
         key = f"{name}@p{prime}"
@@ -41,22 +37,10 @@ class CorpusCache:
         return self._localities[key]
 
     def deltas(self, name: str, prime: int):
-        key = f"{name}@p{prime}"
-        if key not in self._deltas:
-            inst = self.instance(name, prime)
-            self._deltas[key] = delta_sets(
-                inst.group, inst.sylow, prime, fusion=inst.fusion
-            )
-        return self._deltas[key]
+        return self.instance(name, prime).deltas
 
     def theta(self, name: str, prime: int):
-        key = f"{name}@p{prime}"
-        if key not in self._thetas:
-            inst = self.instance(name, prime)
-            self._thetas[key] = theta_quotient(
-                inst.group, inst.sylow, prime, deltas=self.deltas(name, prime)
-            )
-        return self._thetas[key]
+        return self.instance(name, prime).theta
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,8 @@ from argparse import ArgumentParser
 import pytest
 
 from fusionloc import cli
-from fusionloc.corpus import DEFAULT_CORPUS, build_instance
-from fusionloc.fusion import FusionSystem
+from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance, builtin_group
+from fusionloc.fusion import FusionSystem, GroupProvenance
 from fusionloc.groups import FiniteGroup, RealizedSubgroup
 from fusionloc.locality import Locality, locality_to_json, transporter_to_json
 from fusionloc.verifier import CheckResult, run_instance_checks
@@ -335,7 +335,6 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
 @pytest.fixture
 def small_corpus(monkeypatch):
     # patch the corpus to two small instances to keep the CLI tests fast
-    from fusionloc.corpus import CorpusEntry
     import fusionloc.verifier as verifier
 
     small = (CorpusEntry("S3", 2), CorpusEntry("S3", 3))
@@ -401,7 +400,6 @@ def test_supplied_subsystem_file(capsys, tmp_path):
     path = tmp_path / "subs.json"
     path.write_text(json.dumps(spec))
     import fusionloc.verifier as verifier
-    from fusionloc.corpus import CorpusEntry
 
     loaded = cli._load_supplied_subsystems(str(path))
     assert set(loaded) == {"S4@p2", "SL23@p2"}
@@ -439,12 +437,13 @@ def test_supplied_subsystem_file(capsys, tmp_path):
             ),
             id="build-theta",
         ),
+        pytest.param(lambda: cli.main(["verify", "--json", os.devnull]), id="verify-json"),
     ],
 )
 def test_no_reference_cycles(capsys, run):
-    # every fusionloc object, and the CLI's argument parser, is freed by
-    # reference counting: no cache holds its owner, so none waits for the
-    # cyclic collector
+    # every fusionloc object, the CLI's argument parser and the JSON encoder
+    # are freed by reference counting: no cache holds its owner, so none
+    # waits for the cyclic collector
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -455,7 +454,15 @@ def test_no_reference_cycles(capsys, run):
             type(o).__name__
             for o in gc.garbage
             if isinstance(
-                o, (FiniteGroup, RealizedSubgroup, FusionSystem, Locality, ArgumentParser)
+                o,
+                (
+                    FiniteGroup,
+                    RealizedSubgroup,
+                    FusionSystem,
+                    Locality,
+                    ArgumentParser,
+                    json.JSONEncoder,
+                ),
             )
         ]
     finally:
@@ -464,3 +471,63 @@ def test_no_reference_cycles(capsys, run):
         gc.enable()
     capsys.readouterr()
     assert left == []
+
+
+def counting(monkeypatch, name):
+    """Count the calls ``fusionloc.corpus``, where ``Instance`` derives its
+    facts, makes to its global ``name``."""
+    import fusionloc.corpus as corpus_module
+
+    calls = []
+    real = getattr(corpus_module, name)
+    monkeypatch.setattr(corpus_module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_build_all_objects_builds_no_group_fusion_system(monkeypatch, capsys):
+    provenances = []
+    init = FusionSystem.__init__
+
+    def counted(F, *args, **kwargs):
+        init(F, *args, **kwargs)
+        provenances.append(F.provenance)
+
+    monkeypatch.setattr(FusionSystem, "__init__", counted)
+    code = cli.main(["build", "--builtin", "S4", "--prime", "2", "--objects", "all"])
+    capsys.readouterr()
+    assert code == 0
+    assert provenances  # the locality's own fusion system is built
+    assert not any(isinstance(p, GroupProvenance) for p in provenances)
+
+
+def test_classify_derives_delta_once_and_no_theta(monkeypatch, capsys):
+    deltas = counting(monkeypatch, "delta_sets")
+    thetas = counting(monkeypatch, "theta_quotient")
+    assert cli.main(["classify", "--builtin", "SL23", "--prime", "3"]) == 0
+    capsys.readouterr()
+    assert len(deltas) == 1
+    assert thetas == []
+
+
+def test_instance_derives_each_fact_once():
+    inst = build_instance(CorpusEntry("SL23", 3))
+    assert inst.theta.deltas is inst.deltas
+    assert inst.deltas.fusion is inst.fusion
+    assert inst.fusion.provenance.s_real is inst.s_real
+
+
+@pytest.mark.parametrize("name, prime", [("S4", 2), ("C2xA5", 2), ("C1", 2)])
+def test_classify_writes_dumps_bytes(capsys, name, prime):
+    assert cli.main(["classify", "--builtin", name, "--prime", str(prime)]) == 0
+    out = capsys.readouterr().out
+    inst = Instance(CorpusEntry(name, prime), builtin_group(name))
+    report = cli._classification_report(inst)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_json_writes_dumps_bytes(capsys, tmp_path, small_corpus):
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--json", str(path)]) == 0
+    capsys.readouterr()
+    report = cli.run_corpus().to_json_dict()
+    assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"

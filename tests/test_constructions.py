@@ -15,6 +15,7 @@ from fusionloc.constructions import (
 )
 from fusionloc.corpus import BUILTINS, CorpusEntry, Instance, builtin_group
 from fusionloc.errors import NotClosed, NotSylow
+from fusionloc.fusion import fusion_from_group, subsystem_from_normal_subgroup
 from fusionloc.groups import (
     bits,
     cores,
@@ -48,6 +49,17 @@ def test_delta_sets_inclusions(corpus):
         table = ds.fusion.classification_table()
         quasi = {P for P in ds.fusion.subgroups() if table[P].quasicentric}
         assert quasi <= ds.delta_star
+
+
+def test_delta_sets_needs_a_group_fusion_system(corpus):
+    inst = corpus.instance("S4", 2)
+    V4 = inst.group.normal_subgroup_masks()[1]
+    for F in (
+        corpus.locality_all("S4", 2).fusion_system(),
+        subsystem_from_normal_subgroup(inst.fusion, V4).fusion,
+    ):
+        with pytest.raises(TypeError):
+            delta_sets(F)
 
 
 def test_c2xa5_gap(corpus):
@@ -133,15 +145,16 @@ def assert_cpt_matches_class_walk(G):
     for S, p in group_prime_pairs(G):
         ref = ref_is_characteristic_p_type(G, S, p)
         assert is_characteristic_p_type(G, S, p) == ref, (G.label, p)
-        assert delta_sets(G, S, p).characteristic_p_type == ref, (G.label, p)
+        assert delta_sets(fusion_from_group(G, S, p)).characteristic_p_type == ref, (G.label, p)
 
 
 def assert_group_checks_walk_classes(G):
     # run_group_checks visits the nontrivial F-classes in the walk's order,
     # at the walk's masks, and reads N_G(P) almost characteristic p from Delta*
     for S, p in group_prime_pairs(G):
-        ds = delta_sets(G, S, p)
-        real = G.as_group(S.mask)
+        inst = Instance(CorpusEntry(G.label, p), G)
+        ds = inst.deltas
+        real = inst.s_real
         walk = ref_first_class_masks(G, S)
         reps = [d.representative for d in ds.fusion.classes() if d.representative != 1]
         assert reps == walk, (G.label, p)
@@ -149,9 +162,8 @@ def assert_group_checks_walk_classes(G):
         moved = {
             P for d in ds.fusion.classes() if d.representative in flipped for P in d.members
         }
-        inst = Instance(CorpusEntry(G.label, p), G, p, S, real, ds.fusion)
-        forged = replace(ds, delta_star=ds.delta_star ^ moved)
-        rows = {r.check_id: r for r in run_group_checks(inst, forged)}
+        inst.deltas = replace(ds, delta_star=ds.delta_star ^ moved)
+        rows = {r.check_id: r for r in run_group_checks(inst)}
         row = rows["norm-cent-characteristic-agree"]
         assert row.status == "fail", (G.label, p)
         parent = real.mask_to_parent(flipped[0])

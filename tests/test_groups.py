@@ -430,6 +430,19 @@ def test_subgroup_closure_properties(data, salt):
     assert G.is_subgroup_mask(K)
 
 
+@given(small_perm_groups())
+@settings(max_examples=30, deadline=None)
+def test_normal_subgroup_meets_sylow_in_a_sylow(data):
+    # N cap S is Sylow in N for every N normal in G: the normal-subsystem
+    # checks of the verifier take every normal subgroup without testing it
+    degree, gens = data
+    G = group_from_permutations(degree, gens, bound=200)
+    for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)):
+        S = sylow_p(G, p)
+        for n_mask in G.normal_subgroup_masks():
+            assert popcount(n_mask & S.mask) == p_part(popcount(n_mask), p), (G.label, p)
+
+
 @pytest.mark.parametrize("name", ["D8", "Q8", "A4"])
 def test_subgroup_memo_matches_closure(name):
     # oracle: a mask is a subgroup iff it holds the identity and is its own closure

@@ -115,7 +115,7 @@ def rebuilt_stage_rows(inst):
     """The locality-stage rows with each stage's locality built afresh and
     checked on its own, as before equal localities were shared."""
     subject = inst.instance_id
-    td = theta_quotient(inst.group, inst.sylow, inst.prime)
+    td = theta_quotient(inst.deltas)
     table = inst.fusion.classification_table()
     stages = (
         ("/L-all", nontrivial(frozenset(inst.s_real.group.subgroup_masks()))),
@@ -237,7 +237,7 @@ def test_fail_fast_ignores_unselected_failures(monkeypatch):
     # before the selected checks run
     import fusionloc.verifier as verifier
 
-    def failing_group_checks(inst, ds):
+    def failing_group_checks(inst):
         return [
             CheckResult(
                 "group-local-characteristic", inst.instance_id, "fail", witness="forced"
@@ -298,7 +298,7 @@ def test_theta_not_partial_normal_fails_its_row(monkeypatch, capsys):
     monkeypatch.setattr(constructions, "o_p_prime_mask", first_p_prime_subgroup)
     finding = "Theta is not a partial normal subgroup"
     inst = build_instance(CorpusEntry("S3", 3))
-    td = theta_quotient(inst.group, inst.sylow, 3)
+    td = inst.theta
     assert td.findings == (("theta-partial-normal", finding),)
     assert td.quotient is td.locality and td.quotient_data is None
     rows = run_instance_checks(inst)
