@@ -40,40 +40,25 @@ from .fusion import (
     ConstrainedResult,
     FClassData,
     FusionSystem,
-    KAutSet,
     SixWay,
     Subsystem,
     abstract_fusion,
     centralizer_in_S_of_subsystem,
-    classify,
     fusion_from_group,
     is_constrained,
-    is_saturated,
-    local_subsystem,
     quotient_mod_central,
-    subcentric_equivalences,
     subsystem_from_normal_subgroup,
 )
 from .locality import (
     Locality,
     LocalityAxiomReport,
-    PartialNormalSubgroup,
     QuotientData,
     TransporterCategory,
-    centralizer_group,
-    fusion_of,
-    is_l_radical,
-    is_linking_locality,
-    is_objective_char_p,
     is_partial_normal,
     k_normalizer_locality,
     locality_from_group,
-    normalizer_group,
-    product,
     quotient,
     restriction,
-    s_of,
-    s_of_word,
     transporter_category,
     transporter_to_dot,
     transporter_to_json,
@@ -83,7 +68,6 @@ from .constructions import (
     DeltaSets,
     ThetaData,
     delta_sets,
-    is_characteristic_p_type,
     is_characteristic_p_type_fusion,
     theta_quotient,
 )

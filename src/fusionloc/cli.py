@@ -17,14 +17,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .constructions import nontrivial
-from .corpus import BUILTINS, DEFAULT_CORPUS, CorpusEntry, Instance, builtin_group
+from .corpus import BUILTINS, DEFAULT_CORPUS, OBJECT_KINDS, CorpusEntry, Instance, builtin_group
 from .errors import FusionlocError, ParseError, VerificationFailed
 from .groups import load_group_file, perm_from_cycles, popcount
 from .locality import (
     Locality,
     TransporterCategory,
-    locality_from_group,
     locality_head_json,
     transporter_category,
     transporter_head_json,
@@ -140,6 +138,8 @@ def _morphism_blocks(tc: TransporterCategory) -> _Stream:
 
 
 def _load_instance(args) -> Instance:
+    if args.builtin is not None and args.file is not None:
+        raise ParseError("give either --builtin or --file, not both")
     if args.builtin is not None:
         G = builtin_group(args.builtin)
     elif args.file is not None:
@@ -207,21 +207,6 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _object_masks(choice: str, inst: Instance) -> frozenset[int]:
-    if choice == "all":
-        return nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
-    if choice in ("delta", "delta-star"):
-        ds = inst.deltas
-        return nontrivial(ds.delta if choice == "delta" else ds.delta_star)
-    F = inst.fusion
-    table = F.classification_table()
-    if choice == "centric":
-        return frozenset(P for P in F.subgroups() if table[P].centric)
-    if choice == "subcentric":
-        return frozenset(P for P in F.subgroups() if table[P].subcentric)
-    raise ParseError(f"unknown object set {choice!r}")
-
-
 def cmd_build(args) -> int:
     inst = _load_instance(args)
     if args.quotient_theta and args.objects != "delta-star":
@@ -233,8 +218,7 @@ def cmd_build(args) -> int:
             return EXIT_VERIFICATION
         L = td.quotient
     else:
-        gamma = _object_masks(args.objects, inst)
-        L = locality_from_group(inst.group, inst.sylow, gamma, inst.prime, s_real=inst.s_real)
+        L = inst.locality(args.objects)
 
     axioms = verify_locality(L)
     checks = run_locality_checks(L, subject=inst.instance_id)
@@ -356,7 +340,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_group_args(b)
     b.add_argument(
         "--objects",
-        choices=["all", "delta", "delta-star", "centric", "subcentric"],
+        choices=OBJECT_KINDS,
         default="all",
     )
     b.add_argument("--quotient-theta", action="store_true")

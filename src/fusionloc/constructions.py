@@ -17,20 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotPartialNormal, NotSaturated, VerificationFailed
-from .fusion import (
-    FusionSystem,
-    GroupProvenance,
-    fusion_from_group,
-    maps_equal_under_index_map,
-)
-from .groups import FiniteGroup, Subgroup, bits, cores, o_p_prime_mask
-from .locality import (
-    Locality,
-    PartialNormalSubgroup,
-    QuotientData,
-    locality_from_group,
-    quotient,
-)
+from .fusion import FusionSystem, GroupProvenance, maps_equal_under_index_map
+from .groups import Subgroup, bits, cores, o_p_prime_mask
+from .locality import Locality, QuotientData, locality_from_group, quotient
 
 # seed of the sample of class members whose Delta flags delta_sets recomputes
 SPOT_CHECK_SEED = 7
@@ -119,23 +108,20 @@ def nontrivial(masks) -> frozenset[int]:
 class ThetaData:
     """The Delta* locality, its Theta partial normal subset, and the quotient.
 
-    ``object_kernels`` maps each object P to Theta(N_G(P)) as carrier ids of
-    the locality (ids of elements outside the carrier are left out and
-    reported in ``findings``, which holds (``theta-*`` check id, text) pairs).
-    A trivial or not partial normal Theta leaves ``quotient`` = ``locality``.
+    ``theta`` is Theta as carrier ids of ``locality``, and ``object_kernels``
+    maps each object P to Theta(N_G(P)) likewise (ids of elements outside the
+    carrier are left out and reported in ``findings``, which holds
+    (``theta-*`` check id, text) pairs).  A trivial or not partial normal
+    Theta leaves ``quotient`` = ``locality``.
     """
 
     deltas: DeltaSets
     locality: Locality
-    theta: PartialNormalSubgroup
+    theta: frozenset[int]
     quotient_data: Optional[QuotientData]
     quotient: Locality
     findings: tuple[tuple[str, str], ...]
     object_kernels: dict[int, frozenset[int]]
-
-    @property
-    def theta_trivial(self) -> bool:
-        return self.theta.members == frozenset({0})
 
 
 def theta_quotient(ds: DeltaSets) -> ThetaData:
@@ -149,7 +135,7 @@ def theta_quotient(ds: DeltaSets) -> ThetaData:
     G, real, p = ds.fusion.provenance.group, ds.fusion.provenance.s_real, ds.fusion.p
     S = Subgroup(G, real.mask)
     gamma = nontrivial(ds.delta_star)
-    L = locality_from_group(G, S, gamma, p, label=f"L*({G.label})", s_real=real)
+    L = locality_from_group(G, S, gamma, p, label=f"L*({G.label})")
     findings: list[tuple[str, str]] = []
     note = findings.append
 
@@ -170,24 +156,22 @@ def theta_quotient(ds: DeltaSets) -> ThetaData:
     # lies in the carrier; they guard the construction, not the theory
     for g in sorted(frozenset().union(*object_theta.values()) - src_pos.keys()):
         note(("theta-object-kernels", f"Theta element {G.element_label(g)} outside carrier"))
-    theta = PartialNormalSubgroup(
-        locality=L, members=frozenset({0}).union(*object_kernels.values())
-    )
+    theta = frozenset({0}).union(*object_kernels.values())
 
-    if (set(theta.members) & set(L.s_ids)) != {0}:
+    if (theta & set(L.s_ids)) != {0}:
         note(("theta-meets-s-trivially", "Theta meets S nontrivially"))
 
     qd = None
-    if theta.members != frozenset({0}):
+    if theta != frozenset({0}):
         try:
-            qd = quotient(L, theta.members)
+            qd = quotient(L, theta)
         except NotPartialNormal:
             note(("theta-partial-normal", "Theta is not a partial normal subgroup"))
         # per-object kernels: preimage of N_{L/Theta}(P-bar) inside N_L(P)
         for P in sorted(gamma):
             if not object_theta[P] <= src_pos.keys():
                 what = "object kernel outside carrier at"
-            elif set(L.normalizer_ids(P)) & theta.members != object_kernels[P]:
+            elif theta.intersection(L.normalizer_ids(P)) != object_kernels[P]:
                 what = "kernel mismatch at object"
             else:
                 continue
@@ -213,11 +197,6 @@ def theta_quotient(ds: DeltaSets) -> ThetaData:
         findings=tuple(findings),
         object_kernels=object_kernels,
     )
-
-
-def is_characteristic_p_type(G: FiniteGroup, S: Subgroup, p: int) -> bool:
-    """Every normalizer of a nontrivial subgroup of S has characteristic p."""
-    return delta_sets(fusion_from_group(G, S, p)).characteristic_p_type
 
 
 def is_characteristic_p_type_fusion(F: FusionSystem) -> bool:

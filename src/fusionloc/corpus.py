@@ -1,5 +1,6 @@
 """Builtin group presets, the default verification corpus, and ``Instance``,
-the one owner of every fact derived from a group at a prime.
+the one owner of every fact derived from a group at a prime, its object sets
+and their localities included.
 
 Builtins are stored as permutation generator presets (1-based cycles); the
 multiplication tables are built on demand.
@@ -7,11 +8,11 @@ multiplication tables are built on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .constructions import DeltaSets, ThetaData, delta_sets, theta_quotient
-from .errors import CorpusLoadError
+from .constructions import DeltaSets, ThetaData, delta_sets, nontrivial, theta_quotient
+from .errors import CorpusLoadError, ParseError
 from .fusion import FusionSystem, fusion_from_group
 from .groups import (
     FiniteGroup,
@@ -21,6 +22,7 @@ from .groups import (
     p_part,
     sylow_p,
 )
+from .locality import Locality, locality_from_group
 
 # name -> (degree, generators as cycle lists)
 BUILTINS: dict[str, tuple[int, list]] = {
@@ -77,14 +79,22 @@ def builtin_group(name: str) -> FiniteGroup:
     return group_from_permutations(degree, gens, label=name)
 
 
+# the object sets ``Instance.objects`` and ``Instance.locality`` take
+OBJECT_KINDS = ("all", "delta", "delta-star", "centric", "subcentric")
+
+
 @dataclass
 class Instance:
     """A group G at a prime p and the facts derived from them: the Sylow
     subgroup S, realized, F_S(G), Delta/Delta* and the Theta quotient.  Each
-    is computed once, when first read."""
+    is computed once, when first read, and so is the locality of each
+    distinct object set."""
 
     entry: CorpusEntry
     group: FiniteGroup
+    _localities: dict[frozenset[int], Locality] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def prime(self) -> int:
@@ -113,6 +123,34 @@ class Instance:
     @cached_property
     def theta(self) -> ThetaData:
         return theta_quotient(self.deltas)
+
+    def objects(self, kind: str) -> frozenset[int]:
+        """The object set ``kind`` (one of ``OBJECT_KINDS``) as masks over the
+        realized S, computed from what it needs: "all" reads no F_S(G)."""
+        if kind == "all":
+            return nontrivial(frozenset(self.s_real.group.subgroup_masks()))
+        if kind in ("delta", "delta-star"):
+            ds = self.deltas
+            return nontrivial(ds.delta if kind == "delta" else ds.delta_star)
+        if kind in ("centric", "subcentric"):
+            table = self.fusion.classification_table()
+            return frozenset(P for P in self.fusion.subgroups() if getattr(table[P], kind))
+        raise ParseError(f"unknown object set {kind!r}")
+
+    def locality(self, kind: str) -> Locality:
+        """The locality of G on ``objects(kind)``, one per distinct object set:
+        once ``theta`` has been read, its Delta* locality serves every set
+        equal to Delta*."""
+        gamma = self.objects(kind)
+        td = self.__dict__.get("theta")  # a Theta already built; never builds one
+        if td is not None and td.locality.delta == gamma:
+            return td.locality
+        L = self._localities.get(gamma)
+        if L is None:
+            L = self._localities[gamma] = locality_from_group(
+                self.group, self.sylow, gamma, self.prime
+            )
+        return L
 
 
 def build_instance(entry: CorpusEntry) -> Instance:

@@ -268,26 +268,6 @@ class FClassData:
 
 
 @dataclass(frozen=True)
-class KAutSet:
-    """A subgroup K of Aut(Q), stored as image tuples over Q."""
-
-    q_mask: int
-    auts: frozenset
-
-    def validate(self, base: FiniteGroup) -> None:
-        qelems = base.mask_elements(self.q_mask)
-        ident = tuple(qelems)
-        if ident not in self.auts:
-            raise FusionlocError("K does not contain the identity")
-        for a in self.auts:
-            if image_mask(a) != self.q_mask:
-                raise FusionlocError("K contains a non-automorphism")
-            for b in self.auts:
-                if compose_maps(base, a, self.q_mask, b) not in self.auts:
-                    raise FusionlocError("K is not closed under composition")
-
-
-@dataclass(frozen=True)
 class ConstrainedResult:
     constrained: bool
     o_p: int
@@ -637,9 +617,6 @@ class FusionSystem:
         self._table = table
         return table
 
-    def classify(self, Q: int) -> Classification:
-        return self.classification_table()[Q]
-
     # -- six-way equivalence -------------------------------------------------------
 
     def subcentric_equivalences(self, Q: int) -> SixWay:
@@ -695,7 +672,7 @@ class FusionSystem:
                 return False
         return True
 
-    def local_subsystem(self, Q: int, K: "KAutSet | frozenset") -> "FusionSystem":
+    def local_subsystem(self, Q: int, K: frozenset) -> "FusionSystem":
         """The K-normalizer subsystem over N_S^K(Q); saturation is not checked.
 
         K-normalizer subsystems are interned per base group: systems whose
@@ -703,15 +680,9 @@ class FusionSystem:
         saturation and classification are computed once.  The label is the
         one the object was first built with.
         """
-        if isinstance(K, KAutSet):
-            if K.q_mask != Q:
-                raise FusionlocError("K is an automorphism set of a different subgroup")
-            kset = K.auts
-        else:
-            kset = frozenset(K)
-        key = (Q, kset)
+        key = (Q, frozenset(K))
         if key not in self._local:
-            out = self._k_normalizer_subsystem(Q, kset)
+            out = self._k_normalizer_subsystem(*key)
             self._local[key] = None if out is self else out
         return self._local[key] or self
 
@@ -870,22 +841,6 @@ def locality_fusion(prov: LocalityProvenance) -> FusionSystem:
     return FusionSystem(
         base, base.full_mask, prov.p, maps, prov, label=f"F_S({prov.label})"
     )
-
-
-def is_saturated(F: FusionSystem) -> bool:
-    return F.is_saturated()
-
-
-def classify(F: FusionSystem, Q: int) -> Classification:
-    return F.classify(Q)
-
-
-def subcentric_equivalences(F: FusionSystem, Q: int) -> SixWay:
-    return F.subcentric_equivalences(Q)
-
-
-def local_subsystem(F: FusionSystem, Q: int, K) -> FusionSystem:
-    return F.local_subsystem(Q, K)
 
 
 def is_constrained(F: FusionSystem) -> ConstrainedResult:

@@ -611,7 +611,14 @@ class FiniteGroup:
         return "<" + ", ".join(self.element_label(g) for g in gens) + ">"
 
     def as_group(self, mask: int) -> "RealizedSubgroup":
-        """Realize a subgroup mask as a standalone FiniteGroup."""
+        """Realize a subgroup mask as a standalone FiniteGroup.
+
+        The whole group is realized as itself, not memoised: a memo entry
+        would hold its owner, and copying the table would cost n^2.
+        """
+        if mask == self.full_mask:
+            n = self.order
+            return RealizedSubgroup(mask, self, tuple(range(n)), {i: i for i in range(n)})
         got = self._realized.get(mask)
         if got is not None:
             return got

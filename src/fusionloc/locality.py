@@ -382,45 +382,6 @@ class Locality:
         return f"Locality({self.label}, |L|={self.size}, |S|={len(self.s_ids)})"
 
 
-# operation-style wrappers around the Locality methods
-
-
-def s_of(L: Locality, f: int) -> int:
-    return L.s_of(f)
-
-
-def s_of_word(L: Locality, word: Sequence[int]) -> int:
-    return L.s_of_word(word)
-
-
-def product(L: Locality, word: Sequence[int]) -> int:
-    return L.product(word)
-
-
-def fusion_of(L: Locality) -> FusionSystem:
-    return L.fusion_system()
-
-
-def normalizer_group(L: Locality, mask: int):
-    return L.normalizer_group(mask)
-
-
-def centralizer_group(L: Locality, mask: int):
-    return L.centralizer_group(mask)
-
-
-def is_objective_char_p(L: Locality) -> bool:
-    return L.is_objective_char_p()
-
-
-def is_linking_locality(L: Locality) -> bool:
-    return L.is_linking_locality()
-
-
-def is_l_radical(L: Locality, mask: int) -> bool:
-    return L.is_l_radical(mask)
-
-
 # ---------------------------------------------------------------------------
 # construction from a finite group
 
@@ -760,15 +721,9 @@ def _try_close_total(L: Locality, start: set[int], cap: int) -> Optional[set[int
 
 
 @dataclass(frozen=True)
-class PartialNormalSubgroup:
-    locality: Locality
-    members: frozenset[int]
-
-
-@dataclass(frozen=True)
 class QuotientData:
     source: Locality
-    normal_subgroup: PartialNormalSubgroup
+    normal_subgroup: frozenset[int]  # carrier ids of ``source``
     cosets: tuple[frozenset[int], ...]
     quotient: Locality
     projection: tuple[int, ...]
@@ -902,7 +857,7 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
     )
     return QuotientData(
         source=L,
-        normal_subgroup=PartialNormalSubgroup(locality=L, members=mem),
+        normal_subgroup=mem,
         cosets=tuple(maximal),
         quotient=quot,
         projection=proj,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
-from .constructions import ThetaData, is_characteristic_p_type_fusion, nontrivial
+from .constructions import ThetaData, is_characteristic_p_type_fusion
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
 from .errors import NotPartialNormal, VerificationFailed
 from .fusion import (
@@ -56,7 +56,6 @@ from .locality import (
     QuotientData,
     draws,
     is_partial_normal,
-    locality_from_group,
     quotient,
     verify_locality,
 )
@@ -479,14 +478,16 @@ def check_index_subsystem(
 
     kind = "p-prime": E of index prime to p has E^s = F^s.
     kind = "p-power": E of p-power index has E^s = {P in F^s : P <= T}.
+    The row's subject is ``<subject>/N=<N>``, as for the normal-subsystem rows.
     """
     cid = f"{kind}-index-subcentric-set"
     G = F.provenance.group
+    label = f"{subject}/N={G.subgroup_label(n_mask)}"
     index = G.order // popcount(n_mask)
     if kind == "p-prime" and index % F.p == 0:
-        return _skip(cid, subject, "index not prime to p")
+        return _skip(cid, label, "index not prime to p")
     if kind == "p-power" and p_part(index, F.p) != index:
-        return _skip(cid, subject, "index not a power of p")
+        return _skip(cid, label, "index not a power of p")
     sub = subsystem_from_normal_subgroup(F, n_mask)
     E = sub.fusion
     te = E.classification_table()
@@ -503,7 +504,7 @@ def check_index_subsystem(
             for P in E.subgroups()
             if te[P].subcentric != table[P].subcentric
         ]
-    return _passfail(cid, subject, not bad, _min_witness(F.base, bad))
+    return _passfail(cid, label, not bad, _min_witness(F.base, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +892,7 @@ def run_quotient_checks(qd: QuotientData, subject: str) -> list[CheckResult]:
 
     t_mask = 0
     for i, x in enumerate(L.s_ids):
-        if x in qd.normal_subgroup.members:
+        if x in qd.normal_subgroup:
             t_mask |= 1 << i
     bad = None
     for P in FL.subgroups():
@@ -1127,20 +1128,8 @@ def run_instance_checks(
                 "group is of characteristic p-type but its fusion system is not",
             )
         )
-        all_objects = nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
-        table = inst.fusion.classification_table()
-        # the centric-objects locality exercises the Delta <= F^c checks
-        centric_objects = frozenset(
-            P for P in inst.fusion.subgroups() if table[P].centric
-        )
-        # equal object sets give the same locality: build each one once
-        localities = {td.locality.delta: td.locality}
-        for gamma in (all_objects, centric_objects):
-            if gamma not in localities:
-                localities[gamma] = locality_from_group(
-                    inst.group, inst.sylow, gamma, inst.prime, s_real=inst.s_real
-                )
-        L_all = localities[all_objects]
+        # equal object sets share one locality, Theta's Delta* one included
+        L_all = inst.locality("all")
         if group_cpt:
             ok = (
                 fusion_cpt
@@ -1159,7 +1148,8 @@ def run_instance_checks(
             out.append(
                 _skip("char-p-type-locality", subject, "group not of characteristic p-type")
             )
-        L_c = localities[centric_objects]
+        # the centric-objects locality exercises the Delta <= F^c checks
+        L_c = inst.locality("centric")
         stages = [("/L-all", L_all), ("/L-centric", L_c), ("/L-delta*", td.locality)]
         if td.quotient is not td.locality:
             stages.append(("/L-theta-quot", td.quotient))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fusionloc.constructions import is_characteristic_p_type, nontrivial
+from fusionloc.constructions import nontrivial
 from fusionloc.corpus import DEFAULT_CORPUS, build_instance
 from fusionloc.fusion import (
     centralizer_in_S_of_subsystem,
@@ -125,7 +125,7 @@ def test_criterion_03_section9_examples(corpus):
 
 def test_criterion_04_char_2_type_end_to_end(corpus):
     inst = corpus.instance("S4", 2)
-    ok = is_characteristic_p_type(inst.group, inst.sylow, 2)
+    ok = inst.deltas.characteristic_p_type
     L = corpus.locality_all("S4", 2)
     ok = ok and verify_locality(L).ok
     ok = ok and L.is_objective_char_p()
@@ -200,8 +200,8 @@ def test_criterion_06_theta_machinery(full_run, corpus):
     td = corpus.theta("SL23", 3)
     ok = (
         not all_bad
-        and len(td.theta.members) == 2
-        and set(td.theta.members) & set(td.locality.s_ids) == {0}
+        and len(td.theta) == 2
+        and td.theta & set(td.locality.s_ids) == {0}
     )
     _announce(
         6,

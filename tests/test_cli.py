@@ -16,7 +16,14 @@ from argparse import ArgumentParser
 import pytest
 
 from fusionloc import cli
-from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance, builtin_group
+from fusionloc.corpus import (
+    DEFAULT_CORPUS,
+    OBJECT_KINDS,
+    CorpusEntry,
+    Instance,
+    build_instance,
+    builtin_group,
+)
 from fusionloc.fusion import FusionSystem, GroupProvenance
 from fusionloc.groups import FiniteGroup, RealizedSubgroup
 from fusionloc.locality import Locality, locality_to_json, transporter_to_json
@@ -271,6 +278,11 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
         ["build", "--builtin", "S4", "--prime", "2", "--objects", "all", "--quotient-theta"],
     )
     assert code == 3
+    # --builtin and --file together: neither is silently ignored
+    for command in ("classify", "build"):
+        args = [command, "--builtin", "S4", "--file", str(tmp_path / "missing.json")]
+        code, out, err = run_cli(capsys, args + ["--prime", "2"])
+        assert code == 3 and "not both" in err and out == "", (command, code, err)
     # a --prime that is not prime
     for command in ("classify", "build"):
         for prime in ("0", "4", "9"):
@@ -389,7 +401,11 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
 
 def test_supplied_subsystem_file(capsys, tmp_path):
     spec = {
-        "S4@p2": [{"normal": [[[1, 2, 3]], [[2, 3, 4]]], "kind": "p-power"}],
+        # A4 and S4 itself, both of p-power index
+        "S4@p2": [
+            {"normal": [[[1, 2, 3]], [[2, 3, 4]]], "kind": "p-power"},
+            {"normal": [[[1, 2, 3, 4]], [[1, 2]]], "kind": "p-power"},
+        ],
         "SL23@p2": [
             {
                 "normal": [[[1, 3, 2, 6], [4, 5, 8, 7]], [[1, 4, 2, 8], [3, 7, 6, 5]]],
@@ -408,8 +424,11 @@ def test_supplied_subsystem_file(capsys, tmp_path):
         only="p-power-index-*",
         supplied_subsystems=loaded,
     )
-    assert report.results
-    assert all(r.status == "pass" for r in report.results)
+    # one row per spec, each naming its subgroup
+    s4 = builtin_group("S4")
+    assert sorted((r.subject, r.status) for r in report.results) == sorted(
+        (f"S4@p2/N={s4.subgroup_label(n)}", "pass") for n, _ in loaded["S4@p2"]
+    )
 
 
 @pytest.mark.parametrize(
@@ -514,6 +533,26 @@ def test_instance_derives_each_fact_once():
     assert inst.theta.deltas is inst.deltas
     assert inst.deltas.fusion is inst.fusion
     assert inst.fusion.provenance.s_real is inst.s_real
+
+
+def test_object_sets_and_localities_on_s4(capsys):
+    # at S4@p2 Delta = Delta* = every nontrivial subgroup of S
+    build = ["build", "--builtin", "S4", "--prime", "2", "--objects"]
+    for kind in OBJECT_KINDS:
+        code, out, _ = run_cli(capsys, build + [kind])
+        assert code == 0 and json.loads(out)["locality"]["label"] == "L(S4)", kind
+    code, out, _ = run_cli(capsys, build + ["delta-star", "--quotient-theta"])
+    assert code == 0 and json.loads(out)["locality"]["label"] == "L*(S4)"
+
+    inst = build_instance(CorpusEntry("S4", 2))
+    assert len(inst.objects("all")) == 9  # the nontrivial subgroups of D8
+    assert "fusion" not in inst.__dict__  # "all" reads no F_S(G)
+    L = inst.locality("all")
+    assert inst.locality("delta-star") is L and inst.locality("centric") is not L
+    # once Theta is read, its Delta* locality serves every set equal to Delta*
+    td = inst.theta
+    assert inst.locality("all") is td.locality
+    assert inst.locality("delta") is td.locality
 
 
 @pytest.mark.parametrize("name, prime", [("S4", 2), ("C2xA5", 2), ("C1", 2)])

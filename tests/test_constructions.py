@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 from fusionloc.constructions import (
     delta_sets,
-    is_characteristic_p_type,
     is_characteristic_p_type_fusion,
     nontrivial,
 )
@@ -84,16 +83,13 @@ def test_c2xs4_central_in_delta_not_quasicentric(corpus):
 
 
 def test_characteristic_p_type(corpus):
-    S4 = builtin_group("S4")
-    assert is_characteristic_p_type(S4, sylow_p(S4, 2), 2)
+    assert corpus.deltas("S4", 2).characteristic_p_type
     assert is_characteristic_p_type_fusion(corpus.instance("S4", 2).fusion)
 
-    C2A5 = builtin_group("C2xA5")
-    assert not is_characteristic_p_type(C2A5, sylow_p(C2A5, 2), 2)
+    assert not corpus.deltas("C2xA5", 2).characteristic_p_type
     assert is_characteristic_p_type_fusion(corpus.instance("C2xA5", 2).fusion)
 
-    D8 = builtin_group("D8")
-    assert is_characteristic_p_type(D8, sylow_p(D8, 2), 2)
+    assert corpus.deltas("D8", 2).characteristic_p_type
 
 
 def ref_is_characteristic_p_type(G, S, p) -> bool:
@@ -144,7 +140,6 @@ def group_prime_pairs(G):
 def assert_cpt_matches_class_walk(G):
     for S, p in group_prime_pairs(G):
         ref = ref_is_characteristic_p_type(G, S, p)
-        assert is_characteristic_p_type(G, S, p) == ref, (G.label, p)
         assert delta_sets(fusion_from_group(G, S, p)).characteristic_p_type == ref, (G.label, p)
 
 
@@ -197,7 +192,7 @@ def test_group_checks_walk_fusion_classes_random(data):
 def test_theta_trivial_cases(corpus):
     for name, prime, carrier in (("S4", 2, 24), ("S3", 2, 2)):
         td = corpus.theta(name, prime)
-        assert td.theta_trivial
+        assert td.theta == frozenset({0})
         assert td.findings == ()
         assert td.locality.size == carrier
         assert td.quotient is td.locality  # bypass when Theta is forced trivial
@@ -206,7 +201,7 @@ def test_theta_trivial_cases(corpus):
 def test_theta_nontrivial_sl23_at_3(corpus):
     td = corpus.theta("SL23", 3)
     assert td.locality.size == 6  # N_G(Sylow-3) = C6
-    assert len(td.theta.members) == 2  # the central involution
+    assert len(td.theta) == 2  # the central involution
     assert td.findings == ()
     assert td.quotient.size == 3
     assert td.quotient.is_linking_locality()
@@ -216,7 +211,7 @@ def test_theta_nontrivial_sl23_at_3(corpus):
     for P in gamma:
         kern = td.object_kernels[P]
         norm = set(td.locality.normalizer_ids(P))
-        assert kern == norm & td.theta.members
+        assert kern == norm & td.theta
 
 
 def test_theta_c2xa5(corpus):

@@ -343,41 +343,11 @@ def test_class_counts_known_values(corpus):
     assert len(FQ.auts(FQ.base.full_mask)) == 12
 
 
-def test_kautset_validation(corpus):
-    from fusionloc.errors import FusionlocError
-    from fusionloc.fusion import KAutSet
-
+def test_local_subsystem_of_full_aut_set(corpus):
     F = F_of(corpus, "S4", 2)
     base = F.base
-    K = KAutSet(q_mask=base.full_mask, auts=frozenset(F.auts(base.full_mask)))
-    K.validate(base)
-    # identity missing
-    broken = KAutSet(
-        q_mask=base.full_mask,
-        auts=frozenset(
-            m for m in F.auts(base.full_mask) if m != base.mask_elements(base.full_mask)
-        ),
-    )
-    with pytest.raises(FusionlocError):
-        broken.validate(base)
-    # KAutSet is accepted by local_subsystem
-    NS = F.local_subsystem(base.full_mask, K)
+    NS = F.local_subsystem(base.full_mask, frozenset(F.auts(base.full_mask)))
     assert NS.is_saturated() and popcount(NS.carrier) == 8
-
-
-def test_operation_aliases(corpus):
-    import fusionloc as fl
-
-    inst = corpus.instance("S4", 2)
-    L = corpus.locality_all("S4", 2)
-    assert fl.s_of(L, 0) == L.s_group.full_mask
-    assert fl.s_of_word(L, ()) == L.s_group.full_mask
-    assert fl.product(L, ()) == 0
-    assert fl.fusion_of(L).maps_from == inst.fusion.maps_from
-    assert fl.is_objective_char_p(L) and fl.is_linking_locality(L)
-    assert fl.is_saturated(inst.fusion)
-    assert fl.classify(inst.fusion, inst.fusion.base.full_mask).subcentric
-    assert fl.subcentric_equivalences(inst.fusion, 1).agree()
 
 
 def test_fusion_hom_filter(corpus):

@@ -524,6 +524,12 @@ def test_group_freed_without_cyclic_collector():
         G = builtin_group("S4")
         G.as_group(G.sylow_mask(2))
         cores(G, 2)
+        # G is realized as itself: no table copy, and no memo entry that
+        # would hold G
+        whole = G.as_group(G.full_mask)
+        assert whole.group is G and whole.to_parent == tuple(range(G.order))
+        assert G.full_mask not in G._realized
+        del whole
         ref = weakref.ref(G)
         del G
         assert ref() is None

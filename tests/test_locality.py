@@ -41,7 +41,6 @@ from fusionloc.locality import (
     object_set_gap,
     quotient,
     restriction,
-    s_of_word,
     transporter_category,
     transporter_to_dot,
     transporter_to_json,
@@ -120,16 +119,9 @@ def assert_matches_reference(L, G, real, gamma):
 )
 def test_locality_from_group_matches_reference(corpus, name, prime):
     inst = corpus.instance(name, prime)
-    table = inst.fusion.classification_table()
-    object_sets = {
-        "all": nontrivial(frozenset(inst.s_real.group.subgroup_masks())),
-        "centric": frozenset(P for P in inst.fusion.subgroups() if table[P].centric),
-        "delta-star": nontrivial(corpus.deltas(name, prime).delta_star),
-    }
-    for kind, gamma in object_sets.items():
-        L = locality_from_group(
-            inst.group, inst.sylow, gamma, prime, s_real=inst.s_real
-        )
+    for kind in ("all", "centric", "delta-star"):
+        gamma = inst.objects(kind)
+        L = locality_from_group(inst.group, inst.sylow, gamma, prime)
         assert_matches_reference(L, inst.group, inst.s_real, gamma)
 
 
@@ -220,8 +212,7 @@ def test_s_of_word_matches_reference_random(data, raw_words):
 @pytest.mark.parametrize("name", ["S4", "A5"])
 def test_s_of_word_matches_reference_corpus(corpus, name):
     inst = corpus.instance(name, 2)
-    gamma = nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
-    L = locality_from_group(inst.group, inst.sylow, gamma, 2, s_real=inst.s_real)
+    L = locality_from_group(inst.group, inst.sylow, inst.objects("all"), 2)
 
     @given(word_lists)
     @settings(max_examples=40, deadline=None)
@@ -235,10 +226,9 @@ def test_locality_freed_without_collector(corpus):
     # F_S(L) records L's generators, not L, so L and its cached fusion
     # system form no reference cycle
     inst = corpus.instance("S4", 2)
-    gamma = nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
     gc.disable()
     try:
-        L = locality_from_group(inst.group, inst.sylow, gamma, 2, s_real=inst.s_real)
+        L = locality_from_group(inst.group, inst.sylow, inst.objects("all"), 2)
         F = L.fusion_system()
         assert verify_locality(L).ok
         ref = weakref.ref(L)
@@ -374,7 +364,7 @@ def test_word_letters_outside_carrier(corpus):
     n = L.size
     for word in ((-1,), (n,), (0, -1), (n + 3, 0), (1, 2, -5)):
         with pytest.raises(NotInDomain):
-            s_of_word(L, word)
+            L.s_of_word(word)
         with pytest.raises(NotInDomain):
             L.product(word)
         assert not L.word_in_domain(word)
@@ -464,8 +454,7 @@ def test_objective_char_p_computed_once(corpus, monkeypatch):
         return cores(H, p)
 
     inst = corpus.instance("S4", 2)
-    gamma = nontrivial(frozenset(inst.s_real.group.subgroup_masks()))
-    L = locality_from_group(inst.group, inst.sylow, gamma, 2)
+    L = locality_from_group(inst.group, inst.sylow, inst.objects("all"), 2)
     monkeypatch.setattr(locality, "cores", counting_cores)
     assert L.is_objective_char_p() and L.is_objective_char_p()
     assert L.is_linking_locality()
@@ -946,17 +935,10 @@ def test_object_set_gap_matches_old_loops(corpus):
     kinds = set()
     for e, L in corpus_all_localities(corpus):
         inst = corpus.instance(e.name, e.prime)
-        ds = corpus.deltas(e.name, e.prime)
-        table = inst.fusion.classification_table()
         base = L.s_group
         cmaps = conjugation_partials(inst.group, inst.s_real, range(inst.group.order))
         s_masks = [image_mask(cmap.keys()) for cmap in cmaps]
-        sets = {
-            L.delta,
-            frozenset(P for P in inst.fusion.subgroups() if table[P].centric),
-            nontrivial(ds.delta_star),
-            nontrivial(ds.delta),
-        }
+        sets = {inst.objects(kind) for kind in ("all", "centric", "delta-star", "delta")}
         candidates = set(sets) | {gamma - {P} for gamma in sets for P in gamma}
         verdicts = set()
         for gamma in candidates:
