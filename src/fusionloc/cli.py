@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 verification failure, 3 input error.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .locality import (
     transporter_to_dot,
     verify_locality,
 )
-from .verifier import run_corpus, run_locality_checks
+from .verifier import CHECK_IDS, run_corpus, run_locality_checks
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -298,14 +299,14 @@ def _load_supplied_subsystems(path: str) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.only is not None and not fnmatch.filter(CHECK_IDS, args.only):
+        raise ParseError(f"--only {args.only!r} matches no check id")
     supplied = _load_supplied_subsystems(args.subsystems) if args.subsystems else None
     report = run_corpus(
         only=args.only,
         fail_fast=args.fail_fast,
         supplied_subsystems=supplied,
     )
-    if args.only is not None and not report.results:
-        raise ParseError(f"--only {args.only!r} matches no check id")
     sys.stdout.write(report.to_table())
     if args.json:
         _dump(report.to_json_dict(), args.json)

@@ -50,7 +50,8 @@ def delta_sets(F: FusionSystem) -> DeltaSets:
     checks.
 
     Membership is decided on fusion-class representatives and propagated along
-    the class; a seeded spot check recomputes it directly on random members.
+    the class; a seeded spot check recomputes it directly on random members
+    that are not representatives.
     """
     if not isinstance(F.provenance, GroupProvenance):
         raise TypeError(f"{F.label} is not the fusion system of a group")
@@ -77,9 +78,10 @@ def delta_sets(F: FusionSystem) -> DeltaSets:
                 delta.add(P)
             if almost:
                 delta_star.add(P)
-    # spot check: direct recomputation on random members
+    # spot check: direct recomputation on random members other than the
+    # representatives, whose flags were computed, not propagated
     rng = random.Random(SPOT_CHECK_SEED)
-    members = [P for data in F.classes() for P in data.members if P != 1]
+    members = [P for data in F.classes() for P in data.members if P != data.representative]
     for P in rng.sample(members, min(5, len(members))):
         char_p, almost = flags(P)
         if (P in delta) != char_p or (P in delta_star) != almost:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .constructions import DeltaSets, ThetaData, delta_sets, nontrivial, theta_quotient
 from .errors import CorpusLoadError, ParseError
-from .fusion import FusionSystem, fusion_from_group
+from .fusion import FusionSystem, Subsystem, fusion_from_group, subsystem_from_normal_subgroup
 from .groups import (
     FiniteGroup,
     RealizedSubgroup,
@@ -86,9 +86,9 @@ OBJECT_KINDS = ("all", "delta", "delta-star", "centric", "subcentric")
 @dataclass
 class Instance:
     """A group G at a prime p and the facts derived from them: the Sylow
-    subgroup S, realized, F_S(G), Delta/Delta* and the Theta quotient.  Each
-    is computed once, when first read, and so is the locality of each
-    distinct object set."""
+    subgroup S, realized, F_S(G), Delta/Delta*, the Theta quotient and the
+    subsystems F_T(N) of the normal subgroups N of G.  Each is computed once,
+    when first read, and so is the locality of each distinct object set."""
 
     entry: CorpusEntry
     group: FiniteGroup
@@ -123,6 +123,12 @@ class Instance:
     @cached_property
     def theta(self) -> ThetaData:
         return theta_quotient(self.deltas)
+
+    @cached_property
+    def normal_subsystems(self) -> dict[int, Subsystem]:
+        """E = F_T(N), T = N cap S, for each N normal in G, keyed by the mask of N."""
+        F = self.fusion
+        return {n: subsystem_from_normal_subgroup(F, n) for n in self.group.normal_subgroup_masks()}
 
     def objects(self, kind: str) -> frozenset[int]:
         """The object set ``kind`` (one of ``OBJECT_KINDS``) as masks over the

@@ -998,40 +998,3 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     Q = FiniteGroup(table, label=f"{G.label}/{N.label()}", element_names=names)
     proj = tuple(coset_of[x] for x in range(G.order))
     return QuotientGroup(source=G, kernel=N, group=Q, projection=proj)
-
-
-def structure_hint(G: FiniteGroup) -> str:
-    """A rough isomorphism-type label from order and abelian invariants."""
-    n = G.order
-    if n == 1:
-        return "C1"
-    if G.is_abelian:
-        # invariant factors via exponent peeling (small n only)
-        parts: list[int] = []
-        remaining = n
-        exp = G.exponent()
-        while remaining > 1:
-            parts.append(exp)
-            remaining //= exp
-            if remaining == 1:
-                break
-            if remaining % exp != 0 or exp == 1:
-                parts.append(remaining)
-                break
-        return " x ".join(f"C{m}" for m in parts)
-    if n == 6:
-        return "S3"
-    if n == 8:
-        n_invol = sum(1 for a in range(1, n) if G.element_order(a) == 2)
-        return "Q8" if n_invol == 1 else "D8"
-    if n == 12:
-        if not any(G.element_order(a) == 6 for a in range(n)):
-            return "A4"
-        return "D12_or_Dic3"
-    if n == 24:
-        n_invol = sum(1 for a in range(1, n) if G.element_order(a) == 2)
-        if n_invol == 1:
-            return "SL(2,3)"
-        if len([a for a in range(n) if G.element_order(a) == 4]) == 6:
-            return "S4"
-    return f"group of order {n}"

@@ -11,9 +11,9 @@ from __future__ import annotations
 import fnmatch
 import random
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .constructions import ThetaData, is_characteristic_p_type_fusion
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
@@ -103,6 +103,44 @@ def _min_witness(base: FiniteGroup, masks: Iterable[int]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
+# check ids: one tuple per kind of stage of the check matrix (see STAGES)
+
+GROUP_IDS = (
+    "group-local-characteristic", "central-quotient-characteristic",
+    "norm-cent-characteristic-agree",
+)
+FUSION_IDS = (
+    "fusion-wellformed", "inclusion-chain", "subcentric-six-equivalent", "subcentric-closed",
+    "normal-product-subcentric", "central-quotient-subcentric", "knorm-join-subcentric",
+    "knorm-restrict-subcentric", "norm-cent-constrained-agree", "self-radical-subcentric-frc",
+)
+AMBIENT_IDS = (
+    "centralizer-fusion-frobenius", "normal-subsystem-embeds",
+    "normal-subsystem-subcentric-conj-invariant", "subcentric-restricts-to-normal-subsystem",
+    "normal-subsystem-subcentric-lift", "normal-knorm-subcentric-set",
+    "p-prime-index-subcentric-set", "p-power-index-subcentric-set",
+)
+THETA_IDS = (
+    "theta-partial-normal", "theta-meets-s-trivially", "theta-object-kernels",
+    "theta-quotient-objective", "theta-quotient-linking", "theta-fusion-match",
+)
+CHAR_P_TYPE_IDS = ("char-p-type-group-implies-fusion", "char-p-type-locality")
+# the rows that need a locality of objective characteristic p
+OBJECTIVE_IDS = (
+    "normal-iff-fixed-by-locality", "central-iff-centralized-by-locality",
+    "lradical-matches-centric-radical", "local-normalizer-is-model", "delta-subcentric",
+)
+LOCALITY_IDS = (
+    "locality-axioms", "conjugation-isomorphisms", "conjugation-word-coherence",
+    "conjugation-inverse-bijection", "normalizer-centralizer-partial-subgroups",
+    "fullynorm-sylow-normalizer", *OBJECTIVE_IDS, "quasicentric-centralizer-factorization",
+    "centric-centralizer-inside",
+)
+QUOTIENT_IDS = ("quotient-fusion-epimorphism-forward", "quotient-fusion-epimorphism-lift")
+CENSUBSYSTEM_IDS = ("subsystem-centralizer-match",)
+
+
+# ---------------------------------------------------------------------------
 # fusion-system wellformedness
 
 
@@ -179,17 +217,8 @@ def regenerate(F: FusionSystem) -> Optional[FusionSystem]:
 # fusion checks
 
 
-def run_fusion_checks(
-    F: FusionSystem,
-    subject: str,
-    supplied_subsystems: Sequence[tuple[int, str]] = (),
-) -> list[CheckResult]:
-    """All fusion-system checks for one instance.
-
-    ``supplied_subsystems`` are (normal subgroup mask of G, kind) pairs for the
-    index-prime-to-p / p-power-index set comparisons, which are only checkable
-    against an explicitly supplied subsystem.
-    """
+def run_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
+    """The checks of any fusion system F, read from F alone."""
     out: list[CheckResult] = []
     base = F.base
 
@@ -197,20 +226,7 @@ def run_fusion_checks(
     out.append(_passfail("fusion-wellformed", subject, witness is None, witness))
 
     if not F.is_saturated():
-        reason = "fusion system not saturated"
-        for cid in (
-            "inclusion-chain",
-            "subcentric-six-equivalent",
-            "subcentric-closed",
-            "normal-product-subcentric",
-            "central-quotient-subcentric",
-            "knorm-join-subcentric",
-            "knorm-restrict-subcentric",
-            "norm-cent-constrained-agree",
-            "self-radical-subcentric-frc",
-        ):
-            out.append(_skip(cid, subject, reason))
-        return out
+        return out + [_skip(cid, subject, "fusion system not saturated") for cid in FUSION_IDS[1:]]
 
     table = F.classification_table()
     subgroups = F.subgroups()
@@ -341,26 +357,21 @@ def run_fusion_checks(
     out.append(
         _passfail("self-radical-subcentric-frc", subject, not bad, _min_witness(base, bad))
     )
-
-    # ambient-only checks
-    if isinstance(F.provenance, GroupProvenance):
-        out.extend(_ambient_fusion_checks(F, subject))
-    for cid in ("p-prime-index-subcentric-set", "p-power-index-subcentric-set"):
-        kind = "p-prime" if cid.startswith("p-prime") else "p-power"
-        supplied = [n for (n, k) in supplied_subsystems if k == kind]
-        if not supplied:
-            out.append(_skip(cid, subject, "subsystem not constructible in scope"))
-        else:
-            for n_mask in supplied:
-                out.append(check_index_subsystem(F, n_mask, kind, subject))
     return out
 
 
-def _ambient_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
+def _ambient_fusion_checks(
+    inst: Instance, supplied_subsystems: Sequence[tuple[int, str]]
+) -> list[CheckResult]:
+    """The fusion checks that read G: ``supplied_subsystems`` are (normal
+    subgroup mask of G, kind) pairs for the index-prime-to-p / p-power-index
+    set comparisons, which are only checkable against a supplied subsystem."""
     out: list[CheckResult] = []
+    F = inst.fusion
+    subject = inst.instance_id
     base = F.base
-    G = F.provenance.group
-    real = F.provenance.s_real
+    G = inst.group
+    real = inst.s_real
     table = F.classification_table()
     subgroups = F.subgroups()
     p = F.p
@@ -391,8 +402,7 @@ def _ambient_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
     )
 
     # subsystems from normal subgroups of G (N cap S is Sylow in N)
-    for n_mask in G.normal_subgroup_masks():
-        sub = subsystem_from_normal_subgroup(F, n_mask)
+    for n_mask, sub in inst.normal_subsystems.items():
         label = f"{subject}/N={G.subgroup_label(n_mask)}"
         E = sub.fusion
         if not sub.embedding_ok:
@@ -468,6 +478,13 @@ def _ambient_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
     out.append(
         _passfail("normal-knorm-subcentric-set", subject, not bad, _min_witness(base, bad))
     )
+    for kind in ("p-prime", "p-power"):
+        supplied = [n for (n, k) in supplied_subsystems if k == kind]
+        if not supplied:
+            cid = f"{kind}-index-subcentric-set"
+            out.append(_skip(cid, subject, "subsystem not constructible in scope"))
+        for n_mask in supplied:
+            out.append(check_index_subsystem(F, n_mask, kind, subject))
     return out
 
 
@@ -734,13 +751,7 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
 
     objective = L.is_objective_char_p()
     if not objective:
-        for cid in (
-            "normal-iff-fixed-by-locality",
-            "central-iff-centralized-by-locality",
-            "lradical-matches-centric-radical",
-            "local-normalizer-is-model",
-            "delta-subcentric",
-        ):
+        for cid in OBJECTIVE_IDS:
             out.append(_skip(cid, subject, "locality not of objective characteristic p"))
     else:
         # Q normal in F iff L = N_L(Q); Q central iff L = C_L(Q)
@@ -914,14 +925,7 @@ def run_quotient_checks(qd: QuotientData, subject: str) -> list[CheckResult]:
 def run_theta_checks(td: ThetaData, subject: str) -> list[CheckResult]:
     """One row per check id; its witness is the first finding under that id."""
     out = []
-    for cid in (
-        "theta-partial-normal",
-        "theta-meets-s-trivially",
-        "theta-object-kernels",
-        "theta-quotient-objective",
-        "theta-quotient-linking",
-        "theta-fusion-match",
-    ):
+    for cid in THETA_IDS:
         hit = next((text for fid, text in td.findings if fid == cid), None)
         out.append(_passfail(cid, subject, hit is None, hit))
     return out
@@ -984,8 +988,7 @@ def run_censubsystem_checks(inst: Instance) -> list[CheckResult]:
                 cs_set |= 1 << i
         ok = cs_fusion == cs_set
         # cross-check with the group-side subsystem
-        sub = subsystem_from_normal_subgroup(F, n_mask)
-        cs_group = centralizer_in_S_of_subsystem(F, sub.fusion)
+        cs_group = centralizer_in_S_of_subsystem(F, inst.normal_subsystems[n_mask].fusion)
         ok = ok and translate_mask(cs_group, idx) == cs_fusion
         witness = None
         if not ok:
@@ -1093,100 +1096,123 @@ class CorpusReport:
         return "\n".join(lines) + "\n"
 
 
+def _locality(inst: Instance, kind: str) -> Locality:
+    """``inst.locality(kind)``, read after Theta, so that an object set equal
+    to Delta* is served by Theta's locality and not built a second time."""
+    inst.theta
+    return inst.locality(kind)
+
+
+def _char_p_type_checks(inst: Instance) -> list[CheckResult]:
+    """The group version of characteristic p-type implies the fusion version,
+    and then the all-objects locality is a linking locality over F."""
+    subject = inst.instance_id
+    group_cpt = inst.deltas.characteristic_p_type
+    fusion_cpt = is_characteristic_p_type_fusion(inst.fusion)
+    ok = not group_cpt or fusion_cpt
+    witness = "group is of characteristic p-type but its fusion system is not"
+    out = [_passfail("char-p-type-group-implies-fusion", subject, ok, witness)]
+    if not group_cpt:
+        return out + [_skip("char-p-type-locality", subject, "group not of characteristic p-type")]
+    L_all = _locality(inst, "all")
+    ok = fusion_cpt and L_all.is_linking_locality()
+    ok = ok and L_all.fusion_system().maps_from == inst.fusion.maps_from
+    witness = "all-objects locality is not a subcentric linking locality"
+    return out + [_passfail("char-p-type-locality", subject, ok, witness)]
+
+
+def _theta_quotient(inst: Instance) -> Optional[Locality]:
+    """The quotient by Theta; None when Theta is trivial or not partial normal."""
+    qd = inst.theta.quotient_data
+    return None if qd is None else qd.quotient
+
+
+def _theta_quotient_checks(inst: Instance) -> list[CheckResult]:
+    qd = inst.theta.quotient_data
+    return [] if qd is None else run_quotient_checks(qd, inst.instance_id + "/L-theta-quot")
+
+
+def _normal_quotient_checks(inst: Instance) -> list[CheckResult]:
+    """Quotients of the all-objects locality by the partial normal subgroups
+    induced from normal subgroups of G."""
+    out: list[CheckResult] = []
+    G = inst.group
+    L_all = _locality(inst, "all")
+    for n_mask in G.normal_subgroup_masks():
+        if n_mask in (1, G.full_mask):
+            continue
+        members = frozenset(i for i, g in enumerate(L_all.source_ids) if (n_mask >> g) & 1)
+        try:
+            qd = quotient(L_all, members)
+        except NotPartialNormal:
+            continue
+        subject = f"{inst.instance_id}/L-all/N={G.subgroup_label(n_mask)}"
+        out.extend(run_quotient_checks(qd, subject))
+    return out
+
+
+@dataclass
+class _Run:
+    """One instance's pass through the stages: the instance, the index
+    subsystems supplied for it, and the rows of each locality checked so far."""
+
+    inst: Instance
+    supplied: Sequence[tuple[int, str]]
+    checked: dict[Locality, list[CheckResult]] = field(default_factory=dict)
+
+    def locality_rows(self, suffix: str, L: Optional[Locality]) -> list[CheckResult]:
+        """The rows of L (none if L is None) under ``<instance><suffix>``; a
+        locality checked before is not checked again."""
+        if L is None:
+            return []
+        subject = self.inst.instance_id
+        if L not in self.checked:
+            self.checked[L] = run_locality_checks(L, subject)
+        return [replace(r, subject=subject + suffix) for r in self.checked[L]]
+
+
+# The check matrix in row order: the check ids each stage emits, and its body.
+# Bodies call the runners by their module-global names, so a runner wrapped or
+# patched in this module is the one that runs.
+STAGES: tuple[tuple[tuple[str, ...], Callable[[_Run], list[CheckResult]]], ...] = (
+    (GROUP_IDS, lambda run: run_group_checks(run.inst)),
+    (FUSION_IDS, lambda run: run_fusion_checks(run.inst.fusion, run.inst.instance_id)),
+    (AMBIENT_IDS, lambda run: _ambient_fusion_checks(run.inst, run.supplied)),
+    (THETA_IDS, lambda run: run_theta_checks(run.inst.theta, run.inst.instance_id)),
+    (CHAR_P_TYPE_IDS, lambda run: _char_p_type_checks(run.inst)),
+    (LOCALITY_IDS, lambda run: run.locality_rows("/L-all", _locality(run.inst, "all"))),
+    # the centric-objects locality exercises the Delta <= F^c checks
+    (LOCALITY_IDS, lambda run: run.locality_rows("/L-centric", _locality(run.inst, "centric"))),
+    (LOCALITY_IDS, lambda run: run.locality_rows("/L-delta*", run.inst.theta.locality)),
+    (LOCALITY_IDS, lambda run: run.locality_rows("/L-theta-quot", _theta_quotient(run.inst))),
+    (QUOTIENT_IDS, lambda run: _theta_quotient_checks(run.inst)),
+    (CENSUBSYSTEM_IDS, lambda run: run_censubsystem_checks(run.inst)),
+    (QUOTIENT_IDS, lambda run: _normal_quotient_checks(run.inst)),
+)
+
+# every check id, in stage order
+CHECK_IDS = tuple(dict.fromkeys(cid for ids, _ in STAGES for cid in ids))
+
+
 def run_instance_checks(
     inst: Instance,
     only: Optional[str] = None,
     fail_fast: bool = False,
     supplied_subsystems: Sequence[tuple[int, str]] = (),
 ) -> list[CheckResult]:
-    subject = inst.instance_id
+    """The rows of the stages whose ids ``only`` selects, in stage order, each
+    computed only if selected; ``fail_fast`` stops after the first stage that
+    emits a selected failure."""
+    run = _Run(inst, supplied_subsystems)
     out: list[CheckResult] = []
-
-    def selected(r: CheckResult) -> bool:
-        return only is None or fnmatch.fnmatch(r.check_id, only)
-
-    def done() -> bool:
-        return fail_fast and any(r.status == "fail" and selected(r) for r in out)
-
-    out.extend(run_group_checks(inst))
-    if not done():
-        out.extend(run_fusion_checks(inst.fusion, subject, supplied_subsystems))
-
-    if not done():
-        td = inst.theta
-        out.extend(run_theta_checks(td, subject))
-
-        # characteristic p-type: group version implies fusion version,
-        # and then the all-objects locality is a linking locality over F
-        group_cpt = inst.deltas.characteristic_p_type
-        fusion_cpt = is_characteristic_p_type_fusion(inst.fusion)
-        out.append(
-            _passfail(
-                "char-p-type-group-implies-fusion",
-                subject,
-                (not group_cpt) or fusion_cpt,
-                "group is of characteristic p-type but its fusion system is not",
-            )
-        )
-        # equal object sets share one locality, Theta's Delta* one included
-        L_all = inst.locality("all")
-        if group_cpt:
-            ok = (
-                fusion_cpt
-                and L_all.is_linking_locality()
-                and L_all.fusion_system().maps_from == inst.fusion.maps_from
-            )
-            out.append(
-                _passfail(
-                    "char-p-type-locality",
-                    subject,
-                    ok,
-                    "all-objects locality is not a subcentric linking locality",
-                )
-            )
-        else:
-            out.append(
-                _skip("char-p-type-locality", subject, "group not of characteristic p-type")
-            )
-        # the centric-objects locality exercises the Delta <= F^c checks
-        L_c = inst.locality("centric")
-        stages = [("/L-all", L_all), ("/L-centric", L_c), ("/L-delta*", td.locality)]
-        if td.quotient is not td.locality:
-            stages.append(("/L-theta-quot", td.quotient))
-        # check each distinct locality once; report its rows under every stage
-        checked: dict[Locality, list[CheckResult]] = {}
-        for suffix, L in stages:
-            if done():
-                break
-            if L not in checked:
-                checked[L] = run_locality_checks(L, subject)
-            out.extend(replace(r, subject=subject + suffix) for r in checked[L])
-        if not done() and td.quotient_data is not None:
-            out.extend(
-                run_quotient_checks(td.quotient_data, subject + "/L-theta-quot")
-            )
-        if not done():
-            out.extend(run_censubsystem_checks(inst))
-        # quotients by partial normal subgroups induced from normal subgroups
-        if not done():
-            G = inst.group
-            for n_mask in G.normal_subgroup_masks():
-                if n_mask in (1, G.full_mask):
-                    continue
-                members = frozenset(
-                    i for i, g in enumerate(L_all.source_ids) if (n_mask >> g) & 1
-                )
-                try:
-                    qd = quotient(L_all, members)
-                except NotPartialNormal:
-                    continue
-                out.extend(
-                    run_quotient_checks(
-                        qd, f"{subject}/L-all/N={G.subgroup_label(n_mask)}"
-                    )
-                )
-
-    return [r for r in out if selected(r)]
+    for ids, body in STAGES:
+        if only is not None and not fnmatch.filter(ids, only):
+            continue
+        rows = [r for r in body(run) if only is None or fnmatch.fnmatch(r.check_id, only)]
+        out.extend(rows)
+        if fail_fast and any(r.status == "fail" for r in rows):
+            break
+    return out
 
 
 def run_corpus(

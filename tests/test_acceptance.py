@@ -24,6 +24,7 @@ from fusionloc.fusion import (
 from fusionloc.groups import bits, p_part, popcount
 from fusionloc.locality import verify_locality
 from fusionloc.verifier import (
+    CHECK_IDS,
     mutate_fusion,
     mutate_locality,
     mutation_detected_fusion,
@@ -51,6 +52,13 @@ def _status(report, check_id, expect_present=True):
 def _announce(num, ok, text):
     print(f"ACCEPTANCE {num:02d}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, text
+
+
+def test_stage_ids_are_the_report_ids(full_run):
+    # the ids --only is matched against are exactly those the corpus reports
+    report, _ = full_run
+    assert len(CHECK_IDS) == len(set(CHECK_IDS)) == 45
+    assert set(CHECK_IDS) == {r.check_id for r in report.results}
 
 
 def test_criterion_01_inclusion_chain(full_run):

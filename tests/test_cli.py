@@ -385,6 +385,18 @@ def test_verify_only_without_match(capsys, small_corpus):
     assert err.startswith("error:") and "no-such-check" in err
 
 
+def test_verify_unknown_check_builds_no_instance(capsys, monkeypatch):
+    # --only is matched against the stage table's ids before any instance is built
+    import fusionloc.verifier as verifier
+
+    built = []
+    real = verifier.build_instance
+    monkeypatch.setattr(verifier, "build_instance", lambda e: built.append(e) or real(e))
+    code, out, err = run_cli(capsys, ["verify", "--only", "no-such-check"])
+    assert (code, out, built) == (3, "", [])
+    assert "no-such-check" in err
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     from fusionloc.verifier import CheckResult, CorpusReport
 

@@ -13,7 +13,7 @@ from fusionloc.constructions import (
     nontrivial,
 )
 from fusionloc.corpus import BUILTINS, CorpusEntry, Instance, builtin_group
-from fusionloc.errors import NotClosed, NotSylow
+from fusionloc.errors import NotClosed, NotSylow, VerificationFailed
 from fusionloc.fusion import fusion_from_group, subsystem_from_normal_subgroup
 from fusionloc.groups import (
     bits,
@@ -71,6 +71,30 @@ def test_c2xa5_gap(corpus):
     assert zc not in ds.delta_star
     assert zc in ds.subcentric
     assert zc in ds.gap()
+
+
+def test_delta_spot_check_catches_a_forged_class():
+    # one forged class merges the central C2 (outside Delta*) into the class
+    # of a subgroup in Delta; every other class is split into singletons, so
+    # the central C2 is the one member whose flags are propagated, not
+    # computed, and the spot check must draw it
+    inst = Instance(CorpusEntry("C2xA5", 2), builtin_group("C2xA5"))
+    F = inst.fusion
+    zc = inst.s_real.mask_from_parent(inst.group.center_mask())
+    host = next(
+        d for d in F.classes() if len(d.members) == 1 and d.representative not in (1, zc)
+    )
+    forged = [
+        replace(d, representative=P, members=(P,))
+        for d in F.classes()
+        for P in d.members
+        if P not in (host.representative, zc)
+    ]
+    forged.append(replace(host, members=tuple(sorted((host.representative, zc)))))
+    F.classification_table()
+    F._classes = tuple(forged)
+    with pytest.raises(VerificationFailed, match="class propagation mismatch"):
+        delta_sets(F)
 
 
 def test_c2xs4_central_in_delta_not_quasicentric(corpus):

@@ -43,7 +43,6 @@ from fusionloc.groups import (
     perm_from_cycles,
     popcount,
     quotient_group,
-    structure_hint,
     sylow_p,
 )
 
@@ -195,7 +194,9 @@ def test_sylow_examples():
     S4 = builtin_group("S4")
     P = sylow_p(S4, 2)
     assert P.order == 8
-    assert structure_hint(P.as_group().group) == "D8"
+    D8 = P.as_group().group
+    assert D8.order == 8 and not D8.is_abelian
+    assert sum(D8.element_order(a) == 2 for a in range(8)) == 5
     C3 = builtin_group("C3")
     assert sylow_p(C3, 2).order == 1
     A5 = builtin_group("A5")
@@ -290,7 +291,7 @@ def test_quotient_examples():
     S4 = builtin_group("S4")
     V = next(m for m in S4.normal_subgroup_masks() if popcount(m) == 4)
     q = quotient_group(S4, Subgroup(S4, V))
-    assert q.group.order == 6 and structure_hint(q.group) == "S3"
+    assert q.group.order == 6 and not q.group.is_abelian
     assert all(
         q.projection[S4.mul(a, b)]
         == q.group.mul(q.projection[a], q.projection[b])
@@ -317,7 +318,7 @@ def test_group_json_io():
     assert G.order == 6
     table = [[G.mul(a, b) for b in range(6)] for a in range(6)]
     H = load_group_json({"name": "S3t", "table": table})
-    assert H.order == 6 and structure_hint(H) == "S3"
+    assert H.order == 6 and not H.is_abelian
     with pytest.raises(ParseError):
         load_group_json({"name": "bad"})
     broken = [row[:] for row in table]

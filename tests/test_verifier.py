@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fusionloc import cli, constructions
+from fusionloc import cli, constructions, fusion
 from fusionloc.constructions import nontrivial, theta_quotient
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
 from fusionloc.fusion import FusionSystem, abstract_fusion, subsystem_from_normal_subgroup
 from fusionloc.groups import p_part, popcount
 from fusionloc.locality import locality_from_group, verify_locality
 from fusionloc.verifier import (
+    STAGES,
     CheckResult,
     CorpusReport,
     check_index_subsystem,
@@ -250,6 +252,45 @@ def test_fail_fast_ignores_unselected_failures(monkeypatch):
     fast = run_corpus(entries=entries, only="inclusion-*", fail_fast=True)
     assert [r.check_id for r in plain.results] == ["inclusion-chain"]
     assert fast.results == plain.results
+
+
+@pytest.mark.parametrize("name, prime", [("S4", 2), ("SL23", 3), ("C2xS4", 2)])
+def test_each_stage_emits_only_its_ids(corpus, name, prime):
+    import fusionloc.verifier as verifier
+
+    run = verifier._Run(corpus.instance(name, prime), ())
+    for ids, body in STAGES:
+        emitted = {r.check_id for r in body(run)}
+        assert emitted <= set(ids), (ids, emitted)
+
+
+def test_unselected_stages_compute_nothing():
+    inst = build_instance(CorpusEntry("S4", 2))
+    rows = run_instance_checks(inst, only="fusion-wellformed")
+    assert [r.check_id for r in rows] == ["fusion-wellformed"]
+    assert "theta" not in inst.__dict__ and "normal_subsystems" not in inst.__dict__
+    assert not inst._localities
+    # Theta builds its own Delta* locality; no other object set is built
+    inst = build_instance(CorpusEntry("S4", 2))
+    rows = run_instance_checks(inst, only="theta-*")
+    assert {r.check_id for r in rows} == set(THETA_IDS)
+    assert not inst._localities
+
+
+def test_one_subsystem_per_normal_subgroup(monkeypatch):
+    real = fusion.subsystem_from_normal_subgroup
+    calls = []
+
+    def counted(F, n_mask):
+        calls.append(n_mask)
+        return real(F, n_mask)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "fusionloc" and vars(mod).get(real.__name__) is real:
+            monkeypatch.setattr(mod, real.__name__, counted)
+    inst = build_instance(CorpusEntry("C2xS4", 2))
+    run_instance_checks(inst)
+    assert sorted(calls) == sorted(inst.group.normal_subgroup_masks())
 
 
 def test_report_serialization_shape():
