@@ -37,7 +37,6 @@ from .groups import (
 )
 from .fusion import (
     Classification,
-    ConstrainedResult,
     FClassData,
     FusionSystem,
     SixWay,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotPartialNormal, NotSaturated, VerificationFailed
-from .fusion import FusionSystem, GroupProvenance, maps_equal_under_index_map
-from .groups import Subgroup, bits, cores, o_p_prime_mask
+from .fusion import FusionSystem, maps_equal_under_index_map
+from .groups import FiniteGroup, RealizedSubgroup, Subgroup, bits, cores, o_p_prime_mask
 from .locality import Locality, QuotientData, locality_from_group, quotient
 
 # seed of the sample of class members whose Delta flags delta_sets recomputes
@@ -27,8 +27,7 @@ SPOT_CHECK_SEED = 7
 
 @dataclass(frozen=True)
 class DeltaSets:
-    """The object sets of F = F_S(G), as masks over the realized S; G and S
-    are read from F's provenance."""
+    """The object sets of F = F_S(G), as masks over the realized S."""
 
     delta: frozenset[int]
     delta_star: frozenset[int]
@@ -45,17 +44,15 @@ class DeltaSets:
         return all(P in self.delta for P in self.fusion.subgroups() if P != 1)
 
 
-def delta_sets(F: FusionSystem) -> DeltaSets:
-    """Delta, Delta* and the subcentric set of F = F_S(G), with invariant
-    checks.
+def delta_sets(F: FusionSystem, G: FiniteGroup, real: RealizedSubgroup) -> DeltaSets:
+    """Delta, Delta* and the subcentric set of F = F_S(G), S realized as
+    ``real``, with invariant checks.
 
     Membership is decided on fusion-class representatives and propagated along
     the class; a seeded spot check recomputes it directly on random members
     that are not representatives.
     """
-    if not isinstance(F.provenance, GroupProvenance):
-        raise TypeError(f"{F.label} is not the fusion system of a group")
-    G, real, p = F.provenance.group, F.provenance.s_real, F.p
+    p = F.p
     base = real.group
 
     def flags(mask: int) -> tuple[bool, bool]:
@@ -126,15 +123,16 @@ class ThetaData:
     object_kernels: dict[int, frozenset[int]]
 
 
-def theta_quotient(ds: DeltaSets) -> ThetaData:
-    """Build the Delta* locality of G and its quotient by Theta.
+def theta_quotient(ds: DeltaSets, G: FiniteGroup, real: RealizedSubgroup) -> ThetaData:
+    """Build the Delta* locality of G and its quotient by Theta, for the
+    object sets ``ds`` of F_S(G), S realized as ``real``.
 
     Structural assertions (Theta is partial normal, meets S trivially, the
     quotient has objective characteristic p and the same fusion system) are
     recorded as findings under their check ids rather than raised, except
     where construction is impossible.
     """
-    G, real, p = ds.fusion.provenance.group, ds.fusion.provenance.s_real, ds.fusion.p
+    p = ds.fusion.p
     S = Subgroup(G, real.mask)
     gamma = nontrivial(ds.delta_star)
     L = locality_from_group(G, S, gamma, p, label=f"L*({G.label})")

@@ -118,17 +118,17 @@ class Instance:
 
     @cached_property
     def deltas(self) -> DeltaSets:
-        return delta_sets(self.fusion)
+        return delta_sets(self.fusion, self.group, self.s_real)
 
     @cached_property
     def theta(self) -> ThetaData:
-        return theta_quotient(self.deltas)
+        return theta_quotient(self.deltas, self.group, self.s_real)
 
     @cached_property
     def normal_subsystems(self) -> dict[int, Subsystem]:
         """E = F_T(N), T = N cap S, for each N normal in G, keyed by the mask of N."""
-        F = self.fusion
-        return {n: subsystem_from_normal_subgroup(F, n) for n in self.group.normal_subgroup_masks()}
+        F, G, real = self.fusion, self.group, self.s_real
+        return {n: subsystem_from_normal_subgroup(F, G, real, n) for n in G.normal_subgroup_masks()}
 
     def objects(self, kind: str) -> frozenset[int]:
         """The object set ``kind`` (one of ``OBJECT_KINDS``) as masks over the

@@ -36,7 +36,6 @@ from .groups import (
     RealizedSubgroup,
     Subgroup,
     bits,
-    cores,
     group_from_elements,
     o_p_mask,
     p_part,
@@ -124,12 +123,8 @@ def identity_map(base: FiniteGroup, dom: int) -> Morphism:
     return base.mask_elements(dom)
 
 
-def map_as_pairs(base: FiniteGroup, dom: int, images: Morphism):
-    return tuple(zip(base.mask_elements(dom), images))
-
-
 def morphism_label(base: FiniteGroup, dom: int, images: Morphism) -> str:
-    pairs = map_as_pairs(base, dom, images)
+    pairs = zip(base.mask_elements(dom), images)
     inner = ", ".join(
         f"{base.element_label(x)}->{base.element_label(y)}" for x, y in pairs if x
     )
@@ -268,17 +263,9 @@ class FClassData:
 
 
 @dataclass(frozen=True)
-class ConstrainedResult:
-    constrained: bool
-    o_p: int
-    model: Optional[FiniteGroup]
-
-
-@dataclass(frozen=True)
 class Subsystem:
-    """A subsystem over T <= S with an embedding witness into the parent."""
+    """A subsystem of F over T <= S, with whether its morphisms lie in F."""
 
-    parent: "FusionSystem"
     t_mask: int
     fusion: "FusionSystem"
     embedding_ok: bool
@@ -299,13 +286,34 @@ class CentralQuotient:
 # ---------------------------------------------------------------------------
 
 
-# K-normalizer subsystems by (base, carrier, p, morphism sets), held weakly: an
-# entry lives while the ``_local`` memo of a system that derived it holds it
-_K_NORMALIZERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Every system the interning constructors return, by (base, carrier, p,
+# morphism sets), held weakly: an entry lives while something else holds it
+_SYSTEMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _interned(
+    base: FiniteGroup, carrier: int, p: int, maps_from: dict[int, frozenset],
+    provenance, label: str,
+) -> "FusionSystem":
+    """The system equal to these morphism sets over ``base``: the one built
+    first, with its provenance and label, or a new one."""
+    key = (base, carrier, p, frozenset(maps_from.items()))
+    out = _SYSTEMS.get(key)
+    if out is None:
+        out = _SYSTEMS[key] = FusionSystem(base, carrier, p, maps_from, provenance, label)
+    return out
 
 
 class FusionSystem:
-    """A fusion system over ``carrier`` inside the fixed base p-group."""
+    """A fusion system over ``carrier`` inside the fixed base p-group.
+
+    ``fusion_from_group``, ``subsystem_from_normal_subgroup``,
+    ``locality_fusion`` and ``local_subsystem`` intern their systems per
+    base: systems whose carrier and morphism sets agree are one object, so
+    their classes, saturation and classification are computed once.
+    ``provenance`` records how that object was first built; only
+    regeneration reads it.
+    """
 
     def __init__(
         self,
@@ -630,11 +638,11 @@ class FusionSystem:
             nf = self.local_subsystem(P, full_aut_kset(self, P))
             op = nf.o_p_of_fusion()
             norm_core_centric.append(table[op].centric)
-            norm_constrained.append(is_constrained(nf).constrained)
+            norm_constrained.append(is_constrained(nf))
         cent_constrained = []
         for P in data.fully_centralized_members:
             cf = self.local_subsystem(P, trivial_kset(self.base, P))
-            cent_constrained.append(is_constrained(cf).constrained)
+            cent_constrained.append(is_constrained(cf))
         return SixWay(
             all_normalizers_core_centric=all(norm_core_centric),
             some_normalizer_core_centric=any(norm_core_centric),
@@ -673,13 +681,8 @@ class FusionSystem:
         return True
 
     def local_subsystem(self, Q: int, K: frozenset) -> "FusionSystem":
-        """The K-normalizer subsystem over N_S^K(Q); saturation is not checked.
-
-        K-normalizer subsystems are interned per base group: systems whose
-        carrier and morphism sets agree are one object, so their classes,
-        saturation and classification are computed once.  The label is the
-        one the object was first built with.
-        """
+        """The K-normalizer subsystem over N_S^K(Q), interned; saturation is
+        not checked."""
         key = (Q, frozenset(K))
         if key not in self._local:
             out = self._k_normalizer_subsystem(*key)
@@ -705,19 +708,14 @@ class FusionSystem:
                         + morphism_label(base, A, phi)
                     )
                 maps[A].add(phi)
-        maps_from = {m: frozenset(s) for m, s in maps.items()}
-        key = (base, new_carrier, self.p, frozenset(maps_from.items()))
-        out = _K_NORMALIZERS.get(key)
-        if out is None:
-            out = _K_NORMALIZERS[key] = FusionSystem(
-                base,
-                new_carrier,
-                self.p,
-                maps_from,
-                DerivedProvenance("k-normalizer"),
-                label=f"N_{self.label}({base.subgroup_label(Q)})",
-            )
-        return out
+        return _interned(
+            base,
+            new_carrier,
+            self.p,
+            {m: frozenset(s) for m, s in maps.items()},
+            DerivedProvenance("k-normalizer"),
+            f"N_{self.label}({base.subgroup_label(Q)})",
+        )
 
     def normalizer_subsystem(self, Q: int) -> "FusionSystem":
         return self.local_subsystem(Q, full_aut_kset(self, Q))
@@ -789,13 +787,13 @@ def fusion_from_group(
     real = G.as_group(S.mask)
     base = real.group
     partials = conjugation_partials(G, real, range(G.order))
-    return FusionSystem(
+    return _interned(
         base,
         base.full_mask,
         p,
         maps_from_partials(base, base.full_mask, partials),
         GroupProvenance(group=G, s_real=real),
-        label=f"F_{S.label()}({G.label})",
+        f"F_{S.label()}({G.label})",
     )
 
 
@@ -838,22 +836,15 @@ def locality_fusion(prov: LocalityProvenance) -> FusionSystem:
     """F_S(L), closed from the conjugation maps recorded in ``prov``."""
     base = prov.s_group
     maps = close_morphism_sets(base, base.full_mask, prov.generators)
-    return FusionSystem(
-        base, base.full_mask, prov.p, maps, prov, label=f"F_S({prov.label})"
-    )
+    return _interned(base, base.full_mask, prov.p, maps, prov, f"F_S({prov.label})")
 
 
-def is_constrained(F: FusionSystem) -> ConstrainedResult:
-    """O_p(F) self-centralizing; with a model witness for ambient systems."""
+def is_constrained(F: FusionSystem) -> bool:
+    """Whether O_p(F) is self-centralizing in the saturated system F."""
     if not F.is_saturated():
         raise NotSaturated(F.label)
     op = F.o_p_of_fusion()
-    constrained = F.base.centralizer_mask(op) & F.carrier & ~op == 0
-    model = None
-    if constrained and isinstance(F.provenance, GroupProvenance):
-        if cores(F.provenance.group, F.p).is_char_p:
-            model = F.provenance.group
-    return ConstrainedResult(constrained=constrained, o_p=op, model=model)
+    return F.base.centralizer_mask(op) & F.carrier & ~op == 0
 
 
 def quotient_mod_central(F: FusionSystem, Z: int) -> CentralQuotient:
@@ -889,12 +880,11 @@ def quotient_mod_central(F: FusionSystem, Z: int) -> CentralQuotient:
     return CentralQuotient(source=F, z_mask=Z, quotient=quotient, quotient_group=qg)
 
 
-def subsystem_from_normal_subgroup(F: FusionSystem, n_mask: int) -> Subsystem:
-    """E = F_T(N) for N normal in the ambient group, T = N cap S."""
-    if not isinstance(F.provenance, GroupProvenance):
-        raise FusionlocError("requires an ambient fusion system")
-    G = F.provenance.group
-    real = F.provenance.s_real
+def subsystem_from_normal_subgroup(
+    F: FusionSystem, G: FiniteGroup, real: RealizedSubgroup, n_mask: int
+) -> Subsystem:
+    """E = F_T(N), T = N cap S, for F = F_S(G) over ``real`` (S realized) and
+    N normal in G."""
     if not G.is_subgroup_mask(n_mask) or not G.is_normal_mask(n_mask):
         raise NotNormal("N is not a normal subgroup of G")
     t_parent = n_mask & real.mask
@@ -902,18 +892,18 @@ def subsystem_from_normal_subgroup(F: FusionSystem, n_mask: int) -> Subsystem:
         raise NotSylowInN("N cap S is not Sylow in N")
     t_mask = real.mask_from_parent(t_parent)
     partials = conjugation_partials(G, real, G.mask_elements(n_mask))
-    E = FusionSystem(
+    E = _interned(
         real.group,
         t_mask,
         F.p,
         maps_from_partials(real.group, t_mask, partials),
         NormalSubgroupProvenance(group=G, s_real=real, n_mask=n_mask),
-        label=f"F_T(N<{G.label})",
+        f"F_T(N<{G.label})",
     )
     embedding_ok = all(
         set(E.maps_from[A]) <= set(F.maps_from[A]) for A in E.subgroups()
     )
-    return Subsystem(parent=F, t_mask=t_mask, fusion=E, embedding_ok=embedding_ok)
+    return Subsystem(t_mask=t_mask, fusion=E, embedding_ok=embedding_ok)
 
 
 def subsystem_centralized_by(F: FusionSystem, E: FusionSystem, X: int) -> bool:

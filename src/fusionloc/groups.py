@@ -258,6 +258,9 @@ class FiniteGroup:
         self._normals: Optional[tuple[int, ...]] = None
         self._class_reps: Optional[tuple[int, ...]] = None
         self._elt_order: dict[int, int] = {}
+        # O_p and O_{p'} masks by p; ints only, so no entry points back at self
+        self._o_p: dict[int, int] = {}
+        self._o_p_prime: dict[int, int] = {}
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -902,11 +905,16 @@ class GroupPredicateReport:
 
 
 def o_p_mask(H: FiniteGroup, p: int) -> int:
-    """O_p(H), the normal core of a Sylow p-subgroup.
+    """O_p(H), the normal core of a Sylow p-subgroup; computed once per (H, p)."""
+    got = H._o_p.get(p)
+    if got is None:
+        got = H._o_p[p] = _o_p(H, p)
+    return got
 
-    K <- K ∩ ⋂_s K^s over the generators s of H, from K = Sylow, until K is
-    stable; a stable K has K^s = K for every generator, so it is normal.
-    """
+
+def _o_p(H: FiniteGroup, p: int) -> int:
+    """K <- K ∩ ⋂_s K^s over the generators s of H, from K = Sylow, until K is
+    stable; a stable K has K^s = K for every generator, so it is normal."""
     core = H.sylow_mask(p)
     while True:
         nxt = core
@@ -918,9 +926,16 @@ def o_p_mask(H: FiniteGroup, p: int) -> int:
 
 
 def o_p_prime_mask(H: FiniteGroup, p: int) -> int:
-    """The largest normal subgroup of order coprime to p.
+    """O_{p'}(H), the largest normal subgroup of order coprime to p; computed
+    once per (H, p)."""
+    got = H._o_p_prime.get(p)
+    if got is None:
+        got = H._o_p_prime[p] = _o_p_prime(H, p)
+    return got
 
-    Join of the normal closures of single elements whose closure has p'-order;
+
+def _o_p_prime(H: FiniteGroup, p: int) -> int:
+    """Join of the normal closures of single elements whose closure has p'-order;
     the product of two normal p'-subgroups is again one, so one pass suffices.
     The closure of x depends only on the class of x, so one element per class
     is tried, and not one whose order p divides, as its closure contains it.
@@ -943,7 +958,8 @@ def is_char_p_group(H: FiniteGroup, p: int) -> bool:
 
 
 def cores(H: FiniteGroup, p: int) -> GroupPredicateReport:
-    """O_p, Theta = O_{p'}, characteristic p, and almost characteristic p."""
+    """O_p, Theta = O_{p'} (both memoised on H), characteristic p, and almost
+    characteristic p."""
     op = o_p_mask(H, p)
     theta = o_p_prime_mask(H, p)
     char_p = H.centralizer_mask(op) & ~op == 0

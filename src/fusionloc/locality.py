@@ -327,16 +327,13 @@ class Locality:
     # -- fusion system ----------------------------------------------------------
 
     def fusion_system(self) -> FusionSystem:
-        """F_S(L), built once and cached."""
+        """F_S(L), generated by the conjugation maps c_f on S_f; built once
+        and interned, so an equal F_S(G) over the same S is this object."""
         if self._fusion is None:
-            self._fusion = self.build_fusion_system()
+            gens = self.conj_generators(range(self.size), self.s_group.full_mask)
+            prov = LocalityProvenance(self.s_group, self.p, self.label, gens)
+            self._fusion = locality_fusion(prov)
         return self._fusion
-
-    def build_fusion_system(self) -> FusionSystem:
-        """A new F_S(L), generated by the conjugation maps c_f on S_f."""
-        gens = self.conj_generators(range(self.size), self.s_group.full_mask)
-        prov = LocalityProvenance(self.s_group, self.p, self.label, gens)
-        return locality_fusion(prov)
 
     def conj_generators(
         self, ids: Iterable[int], t_mask: int

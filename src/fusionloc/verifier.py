@@ -201,10 +201,10 @@ def regenerate(F: FusionSystem) -> Optional[FusionSystem]:
     """Rebuild a fusion system from its provenance, if regenerable."""
     prov = F.provenance
     if isinstance(prov, (GroupProvenance, NormalSubgroupProvenance)):
-        S = Subgroup(prov.group, prov.s_real.mask)
-        ambient = fusion_from_group(prov.group, S, F.p)
+        G, real = prov.group, prov.s_real
+        ambient = fusion_from_group(G, Subgroup(G, real.mask), F.p)
         if isinstance(prov, NormalSubgroupProvenance):
-            return subsystem_from_normal_subgroup(ambient, prov.n_mask).fusion
+            return subsystem_from_normal_subgroup(ambient, G, real, prov.n_mask).fusion
         return ambient
     if isinstance(prov, LocalityProvenance):
         return locality_fusion(prov)
@@ -338,7 +338,7 @@ def run_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
             continue
         nq = F.normalizer_subsystem(Q)
         cq = F.centralizer_subsystem(Q)
-        if is_constrained(nq).constrained != is_constrained(cq).constrained:
+        if is_constrained(nq) != is_constrained(cq):
             bad.append(Q)
     out.append(
         _passfail("norm-cent-constrained-agree", subject, not bad, _min_witness(base, bad))
@@ -484,29 +484,27 @@ def _ambient_fusion_checks(
             cid = f"{kind}-index-subcentric-set"
             out.append(_skip(cid, subject, "subsystem not constructible in scope"))
         for n_mask in supplied:
-            out.append(check_index_subsystem(F, n_mask, kind, subject))
+            out.append(check_index_subsystem(inst, n_mask, kind))
     return out
 
 
-def check_index_subsystem(
-    F: FusionSystem, n_mask: int, kind: str, subject: str
-) -> CheckResult:
-    """Subcentric-set comparison for a supplied normal subsystem.
+def check_index_subsystem(inst: Instance, n_mask: int, kind: str) -> CheckResult:
+    """Subcentric-set comparison for a supplied normal subgroup N of G and its
+    subsystem E = F_T(N).
 
     kind = "p-prime": E of index prime to p has E^s = F^s.
     kind = "p-power": E of p-power index has E^s = {P in F^s : P <= T}.
-    The row's subject is ``<subject>/N=<N>``, as for the normal-subsystem rows.
+    The row's subject is ``<instance>/N=<N>``, as for the normal-subsystem rows.
     """
     cid = f"{kind}-index-subcentric-set"
-    G = F.provenance.group
-    label = f"{subject}/N={G.subgroup_label(n_mask)}"
+    F, G = inst.fusion, inst.group
+    label = f"{inst.instance_id}/N={G.subgroup_label(n_mask)}"
     index = G.order // popcount(n_mask)
     if kind == "p-prime" and index % F.p == 0:
         return _skip(cid, label, "index not prime to p")
     if kind == "p-power" and p_part(index, F.p) != index:
         return _skip(cid, label, "index not a power of p")
-    sub = subsystem_from_normal_subgroup(F, n_mask)
-    E = sub.fusion
+    E = inst.normal_subsystems[n_mask].fusion
     te = E.classification_table()
     table = F.classification_table()
     if kind == "p-prime":

@@ -87,7 +87,7 @@ def test_criterion_02_sixway_agreement(corpus):
                 n_mask & inst.s_real.mask
             ):
                 continue
-            sub = subsystem_from_normal_subgroup(inst.fusion, n_mask)
+            sub = subsystem_from_normal_subgroup(inst.fusion, G, inst.s_real, n_mask)
             if sub.fusion.is_saturated():
                 systems.append(sub.fusion)
         for Z in inst.fusion.base.subgroups_of(inst.fusion.center_mask()):
@@ -221,8 +221,9 @@ def test_criterion_06_theta_machinery(full_run, corpus):
 
 
 def test_criterion_07_quotient_correspondence(corpus):
-    F = corpus.instance("C2xS4", 2).fusion
-    z = F.provenance.s_real.mask_from_parent(F.provenance.group.center_mask())
+    inst = corpus.instance("C2xS4", 2)
+    F = inst.fusion
+    z = inst.s_real.mask_from_parent(inst.group.center_mask())
     cq = quotient_mod_central(F, z)
     t = F.classification_table()
     tq = cq.quotient.classification_table()

@@ -14,7 +14,7 @@ from fusionloc.constructions import (
 )
 from fusionloc.corpus import BUILTINS, CorpusEntry, Instance, builtin_group
 from fusionloc.errors import NotClosed, NotSylow, VerificationFailed
-from fusionloc.fusion import fusion_from_group, subsystem_from_normal_subgroup
+from fusionloc.fusion import fusion_from_group
 from fusionloc.groups import (
     bits,
     cores,
@@ -50,17 +50,6 @@ def test_delta_sets_inclusions(corpus):
         assert quasi <= ds.delta_star
 
 
-def test_delta_sets_needs_a_group_fusion_system(corpus):
-    inst = corpus.instance("S4", 2)
-    V4 = inst.group.normal_subgroup_masks()[1]
-    for F in (
-        corpus.locality_all("S4", 2).fusion_system(),
-        subsystem_from_normal_subgroup(inst.fusion, V4).fusion,
-    ):
-        with pytest.raises(TypeError):
-            delta_sets(F)
-
-
 def test_c2xa5_gap(corpus):
     # the fact driving the construction: the central C2 is
     # subcentric but its normalizer (the whole group) is not almost of
@@ -94,7 +83,7 @@ def test_delta_spot_check_catches_a_forged_class():
     F.classification_table()
     F._classes = tuple(forged)
     with pytest.raises(VerificationFailed, match="class propagation mismatch"):
-        delta_sets(F)
+        delta_sets(F, inst.group, inst.s_real)
 
 
 def test_c2xs4_central_in_delta_not_quasicentric(corpus):
@@ -164,7 +153,8 @@ def group_prime_pairs(G):
 def assert_cpt_matches_class_walk(G):
     for S, p in group_prime_pairs(G):
         ref = ref_is_characteristic_p_type(G, S, p)
-        assert delta_sets(fusion_from_group(G, S, p)).characteristic_p_type == ref, (G.label, p)
+        ds = delta_sets(fusion_from_group(G, S, p), G, G.as_group(S.mask))
+        assert ds.characteristic_p_type == ref, (G.label, p)
 
 
 def assert_group_checks_walk_classes(G):

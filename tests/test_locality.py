@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionloc.constructions import nontrivial
-from fusionloc.corpus import DEFAULT_CORPUS, builtin_group
+from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
 from fusionloc.errors import (
     NotAnObject,
     NotClosed,
@@ -21,7 +21,13 @@ from fusionloc.errors import (
     ObjectSetMismatch,
     VerificationFailed,
 )
-from fusionloc.fusion import conjugation_partials, full_aut_kset, fusion_from_group, image_mask
+from fusionloc.fusion import (
+    LocalityProvenance,
+    conjugation_partials,
+    full_aut_kset,
+    fusion_from_group,
+    image_mask,
+)
 from fusionloc.groups import (
     bits,
     cores,
@@ -222,10 +228,12 @@ def test_s_of_word_matches_reference_corpus(corpus, name):
     run()
 
 
-def test_locality_freed_without_collector(corpus):
+def test_locality_freed_without_collector():
     # F_S(L) records L's generators, not L, so L and its cached fusion
-    # system form no reference cycle
-    inst = corpus.instance("S4", 2)
+    # system form no reference cycle.  The fresh instance's F_S(G) is never
+    # read, so F_S(L) is the first of the two equal systems built, and
+    # regeneration rebuilds it from L's generators
+    inst = build_instance(CorpusEntry("S4", 2))
     gc.disable()
     try:
         L = locality_from_group(inst.group, inst.sylow, inst.objects("all"), 2)
@@ -236,6 +244,7 @@ def test_locality_freed_without_collector(corpus):
         assert ref() is None
     finally:
         gc.enable()
+    assert isinstance(F.provenance, LocalityProvenance)
     assert regenerate(F).maps_from == F.maps_from
 
 

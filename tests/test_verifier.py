@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fusionloc import cli, constructions, fusion
+from fusionloc import cli, constructions, fusion, groups
 from fusionloc.constructions import nontrivial, theta_quotient
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
 from fusionloc.fusion import FusionSystem, abstract_fusion, subsystem_from_normal_subgroup
@@ -88,9 +89,13 @@ def test_mutation_sensitivity_sample(corpus):
             assert mutation_detected_fusion(mutated), desc
         for desc, mutated in mutate_locality(L, seed=99, count=10):
             assert mutation_detected_locality(mutated), desc
-    # systems regenerated from a locality, a normal subgroup and generators
+    # systems regenerated from a locality, a normal subgroup and generators;
+    # a fresh instance builds F_S(L) first, so the interned F_S(G) is that
+    # object and records how L generated it
     for name, prime in (("S4", 2), ("A5", 2), ("SL23", 2)):
-        inst = corpus.instance(name, prime)
+        inst = build_instance(CorpusEntry(name, prime))
+        FL = inst.locality("all").fusion_system()
+        assert isinstance(FL.provenance, fusion.LocalityProvenance)
         F = inst.fusion
         n_mask = min(
             (
@@ -103,8 +108,8 @@ def test_mutation_sensitivity_sample(corpus):
         )
         generators = [(P, m) for P in sorted(F.maps_from) for m in sorted(F.maps_from[P])]
         systems = (
-            corpus.locality_all(name, prime).fusion_system(),
-            subsystem_from_normal_subgroup(F, n_mask).fusion,
+            FL,
+            subsystem_from_normal_subgroup(F, inst.group, inst.s_real, n_mask).fusion,
             abstract_fusion(F.base, prime, generators),
         )
         for E in systems:
@@ -117,7 +122,7 @@ def rebuilt_stage_rows(inst):
     """The locality-stage rows with each stage's locality built afresh and
     checked on its own, as before equal localities were shared."""
     subject = inst.instance_id
-    td = theta_quotient(inst.deltas)
+    td = theta_quotient(inst.deltas, inst.group, inst.s_real)
     table = inst.fusion.classification_table()
     stages = (
         ("/L-all", nontrivial(frozenset(inst.s_real.group.subgroup_masks()))),
@@ -197,17 +202,17 @@ def test_supplied_index_subsystems(corpus):
     a4 = next(
         m for m in inst.group.normal_subgroup_masks() if popcount(m) == 12
     )
-    r = check_index_subsystem(inst.fusion, a4, "p-power", inst.instance_id)
+    r = check_index_subsystem(inst, a4, "p-power")
     assert r.status == "pass"
     # index prime to p: Q8 inside SL(2,3) at p = 2
     inst2 = corpus.instance("SL23", 2)
     q8 = next(
         m for m in inst2.group.normal_subgroup_masks() if popcount(m) == 8
     )
-    r2 = check_index_subsystem(inst2.fusion, q8, "p-prime", inst2.instance_id)
+    r2 = check_index_subsystem(inst2, q8, "p-prime")
     assert r2.status == "pass"
     # wrong kind is skipped with a reason
-    r3 = check_index_subsystem(inst.fusion, a4, "p-prime", inst.instance_id)
+    r3 = check_index_subsystem(inst, a4, "p-prime")
     assert r3.status == "skipped" and r3.reason
 
 
@@ -277,13 +282,55 @@ def test_unselected_stages_compute_nothing():
     assert not inst._localities
 
 
+def test_equal_systems_are_one_object(monkeypatch):
+    # F_S(L) of the all-objects locality, F_T(N) for N = G and F_S(G) are
+    # equal, so they are one object, and no system is classified twice
+    def content(F):
+        return (F.base, F.carrier, F.p, frozenset(F.maps_from.items()))
+
+    computed, classified = [], set()
+    table_of = FusionSystem.classification_table
+
+    def counted(F):
+        classified.add(content(F))
+        if F._table is None:
+            computed.append(content(F))
+        return table_of(F)
+
+    monkeypatch.setattr(FusionSystem, "classification_table", counted)
+    inst = build_instance(CorpusEntry("C2xS4", 2))
+    run_instance_checks(inst)
+    assert inst.locality("all").fusion_system() is inst.fusion
+    assert inst.normal_subsystems[inst.group.full_mask].fusion is inst.fusion
+    assert len(computed) == len(classified)
+    # a mutant is built directly, so it stays out of the table, and its
+    # regeneration is the interned system, which differs from it
+    _, mutant = next(mutate_fusion(inst.fusion, seed=1, count=1))
+    assert all(E is not mutant for E in fusion._SYSTEMS.values())
+    assert fusion_wellformed_witness(mutant) is not None
+
+
+def test_p_cores_computed_once_per_group_and_prime(monkeypatch):
+    counts = Counter()
+    for name in ("_o_p", "_o_p_prime"):
+
+        def counted(H, p, name=name, compute=getattr(groups, name)):
+            counts[name, H, p] += 1
+            return compute(H, p)
+
+        monkeypatch.setattr(groups, name, counted)
+    inst = build_instance(CorpusEntry("C2xS4", 2))
+    run_instance_checks(inst)
+    assert counts and max(counts.values()) == 1
+
+
 def test_one_subsystem_per_normal_subgroup(monkeypatch):
     real = fusion.subsystem_from_normal_subgroup
     calls = []
 
-    def counted(F, n_mask):
+    def counted(F, G, s_real, n_mask):
         calls.append(n_mask)
-        return real(F, n_mask)
+        return real(F, G, s_real, n_mask)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "fusionloc" and vars(mod).get(real.__name__) is real:
