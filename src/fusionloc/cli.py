@@ -6,7 +6,7 @@ Commands:
   verify         run the whole check matrix over the corpus
   list-builtins  show available builtin groups
 
-Exit codes: 0 success, 2 verification failure, 3 input error.
+Exit codes: 0 success, 2 verification failure, 3 input error, 141 stdout closed.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .verifier import CHECK_IDS, run_corpus, run_locality_checks
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
 EXIT_INPUT = 3
+EXIT_CLOSED_OUTPUT = 141
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,17 @@ def cmd_build(args) -> int:
             sys.stderr.write("".join(text + "\n" for _, text in td.findings))
             return EXIT_VERIFICATION
         L = td.quotient
+        # printed as L*(G), over N if Theta is nontrivial; L(G) without the flag
+        label = f"L*({inst.group.label})" + ("" if td.quotient_data is None else "/N")
     else:
         L = inst.locality(args.objects)
+        label = L.label
 
     axioms = verify_locality(L)
     checks = run_locality_checks(L, subject=inst.instance_id)
     failures = [c for c in checks if c.status == "fail"]
     payload = {
-        "locality": {**locality_head_json(L), "products": _product_rows(L)},
+        "locality": {**locality_head_json(L), "label": label, "products": _product_rows(L)},
         "axioms": [
             {"name": c.name, "passed": c.passed, "witness": c.witness}
             for c in axioms.checks
@@ -369,7 +373,15 @@ PARSER = make_parser()
 def main(argv: Optional[list[str]] = None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at the exit flush
+        return code
+    except BrokenPipeError:
+        import os  # loaded at start-up already; kept off the common path
+
+        # stdout on devnull: the exit flush drops the unwritten rest quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except (ParseError, FusionlocError) as exc:
         if isinstance(exc, VerificationFailed):
             sys.stderr.write(f"verification failed: {exc}\n")

@@ -18,8 +18,8 @@ from typing import Optional
 
 from .errors import NotPartialNormal, NotSaturated, VerificationFailed
 from .fusion import FusionSystem, maps_equal_under_index_map
-from .groups import FiniteGroup, RealizedSubgroup, Subgroup, bits, cores, o_p_prime_mask
-from .locality import Locality, QuotientData, locality_from_group, quotient
+from .groups import FiniteGroup, RealizedSubgroup, bits, cores, o_p_prime_mask
+from .locality import Locality, QuotientData, quotient
 
 # seed of the sample of class members whose Delta flags delta_sets recomputes
 SPOT_CHECK_SEED = 7
@@ -123,8 +123,8 @@ class ThetaData:
     object_kernels: dict[int, frozenset[int]]
 
 
-def theta_quotient(ds: DeltaSets, G: FiniteGroup, real: RealizedSubgroup) -> ThetaData:
-    """Build the Delta* locality of G and its quotient by Theta, for the
+def theta_quotient(ds: DeltaSets, L: Locality, real: RealizedSubgroup) -> ThetaData:
+    """The quotient by Theta of L, the locality of G on the Delta* of the
     object sets ``ds`` of F_S(G), S realized as ``real``.
 
     Structural assertions (Theta is partial normal, meets S trivially, the
@@ -132,10 +132,7 @@ def theta_quotient(ds: DeltaSets, G: FiniteGroup, real: RealizedSubgroup) -> The
     recorded as findings under their check ids rather than raised, except
     where construction is impossible.
     """
-    p = ds.fusion.p
-    S = Subgroup(G, real.mask)
-    gamma = nontrivial(ds.delta_star)
-    L = locality_from_group(G, S, gamma, p, label=f"L*({G.label})")
+    G, p, gamma = L.source_group, ds.fusion.p, L.delta
     findings: list[tuple[str, str]] = []
     note = findings.append
 

@@ -122,7 +122,7 @@ class Instance:
 
     @cached_property
     def theta(self) -> ThetaData:
-        return theta_quotient(self.deltas, self.group, self.s_real)
+        return theta_quotient(self.deltas, self.locality("delta-star"), self.s_real)
 
     @cached_property
     def normal_subsystems(self) -> dict[int, Subsystem]:
@@ -144,13 +144,8 @@ class Instance:
         raise ParseError(f"unknown object set {kind!r}")
 
     def locality(self, kind: str) -> Locality:
-        """The locality of G on ``objects(kind)``, one per distinct object set:
-        once ``theta`` has been read, its Delta* locality serves every set
-        equal to Delta*."""
+        """The locality of G on ``objects(kind)``, one per distinct object set."""
         gamma = self.objects(kind)
-        td = self.__dict__.get("theta")  # a Theta already built; never builds one
-        if td is not None and td.locality.delta == gamma:
-            return td.locality
         L = self._localities.get(gamma)
         if L is None:
             L = self._localities[gamma] = locality_from_group(

@@ -308,9 +308,10 @@ class FusionSystem:
     """A fusion system over ``carrier`` inside the fixed base p-group.
 
     ``fusion_from_group``, ``subsystem_from_normal_subgroup``,
-    ``locality_fusion`` and ``local_subsystem`` intern their systems per
-    base: systems whose carrier and morphism sets agree are one object, so
-    their classes, saturation and classification are computed once.
+    ``locality_fusion``, ``local_subsystem``, ``quotient_mod_central`` and
+    the verifier's E_loc intern their systems per base: systems whose carrier
+    and morphism sets agree are one object, so their classes, saturation and
+    classification are computed once.
     ``provenance`` records how that object was first built; only
     regeneration reads it.
     """
@@ -869,13 +870,13 @@ def quotient_mod_central(F: FusionSystem, Z: int) -> CentralQuotient:
             if induced is None:
                 raise VerificationFailed("induced map ill-defined")
             maps[a_img].add(induced)
-    quotient = FusionSystem(
+    quotient = _interned(
         Sq,
         Sq.full_mask,
         F.p,
         {m: frozenset(s) for m, s in maps.items()},
         DerivedProvenance("central-quotient"),
-        label=f"{F.label}/{base.subgroup_label(Z)}",
+        f"{F.label}/{base.subgroup_label(Z)}",
     )
     return CentralQuotient(source=F, z_mask=Z, quotient=quotient, quotient_group=qg)
 

@@ -431,7 +431,6 @@ def locality_from_group(
     S: Subgroup,
     gamma: Iterable[int],
     p: int,
-    label: Optional[str] = None,
     s_real: Optional[RealizedSubgroup] = None,
 ) -> Locality:
     """The locality on {g : S cap S^g in Gamma} with the restricted product."""
@@ -477,7 +476,7 @@ def locality_from_group(
         s_group=base,
         delta=gamma,
         p=p,
-        label=label or f"L({G.label})",
+        label=f"L({G.label})",
         conj_s=tuple(cmaps[g] for g in carrier),
         source_group=G,
         source_ids=tuple(carrier),

@@ -25,6 +25,7 @@ from .fusion import (
     GroupProvenance,
     LocalityProvenance,
     NormalSubgroupProvenance,
+    _interned,
     _is_inner_system,
     abstract_fusion,
     centralizer_in_S_of_subsystem,
@@ -974,9 +975,7 @@ def run_censubsystem_checks(inst: Instance) -> list[CheckResult]:
                 t_mask_q |= 1 << i
         gens = LQ.conj_generators(sorted(nbar), t_mask_q)
         emaps = close_morphism_sets(qbase, t_mask_q, gens)
-        E_loc = FusionSystem(
-            qbase, t_mask_q, F.p, emaps, DerivedProvenance("partial-normal"), label="E_loc"
-        )
+        E_loc = _interned(qbase, t_mask_q, F.p, emaps, DerivedProvenance("partial-normal"), "E_loc")
         FQ = LQ.fusion_system()
         cs_fusion = centralizer_in_S_of_subsystem(FQ, E_loc)
         # set-level centralizer of N-bar in S-bar
@@ -1094,13 +1093,6 @@ class CorpusReport:
         return "\n".join(lines) + "\n"
 
 
-def _locality(inst: Instance, kind: str) -> Locality:
-    """``inst.locality(kind)``, read after Theta, so that an object set equal
-    to Delta* is served by Theta's locality and not built a second time."""
-    inst.theta
-    return inst.locality(kind)
-
-
 def _char_p_type_checks(inst: Instance) -> list[CheckResult]:
     """The group version of characteristic p-type implies the fusion version,
     and then the all-objects locality is a linking locality over F."""
@@ -1112,7 +1104,7 @@ def _char_p_type_checks(inst: Instance) -> list[CheckResult]:
     out = [_passfail("char-p-type-group-implies-fusion", subject, ok, witness)]
     if not group_cpt:
         return out + [_skip("char-p-type-locality", subject, "group not of characteristic p-type")]
-    L_all = _locality(inst, "all")
+    L_all = inst.locality("all")
     ok = fusion_cpt and L_all.is_linking_locality()
     ok = ok and L_all.fusion_system().maps_from == inst.fusion.maps_from
     witness = "all-objects locality is not a subcentric linking locality"
@@ -1135,7 +1127,7 @@ def _normal_quotient_checks(inst: Instance) -> list[CheckResult]:
     induced from normal subgroups of G."""
     out: list[CheckResult] = []
     G = inst.group
-    L_all = _locality(inst, "all")
+    L_all = inst.locality("all")
     for n_mask in G.normal_subgroup_masks():
         if n_mask in (1, G.full_mask):
             continue
@@ -1178,10 +1170,10 @@ STAGES: tuple[tuple[tuple[str, ...], Callable[[_Run], list[CheckResult]]], ...] 
     (AMBIENT_IDS, lambda run: _ambient_fusion_checks(run.inst, run.supplied)),
     (THETA_IDS, lambda run: run_theta_checks(run.inst.theta, run.inst.instance_id)),
     (CHAR_P_TYPE_IDS, lambda run: _char_p_type_checks(run.inst)),
-    (LOCALITY_IDS, lambda run: run.locality_rows("/L-all", _locality(run.inst, "all"))),
+    (LOCALITY_IDS, lambda run: run.locality_rows("/L-all", run.inst.locality("all"))),
     # the centric-objects locality exercises the Delta <= F^c checks
-    (LOCALITY_IDS, lambda run: run.locality_rows("/L-centric", _locality(run.inst, "centric"))),
-    (LOCALITY_IDS, lambda run: run.locality_rows("/L-delta*", run.inst.theta.locality)),
+    (LOCALITY_IDS, lambda run: run.locality_rows("/L-centric", run.inst.locality("centric"))),
+    (LOCALITY_IDS, lambda run: run.locality_rows("/L-delta*", run.inst.locality("delta-star"))),
     (LOCALITY_IDS, lambda run: run.locality_rows("/L-theta-quot", _theta_quotient(run.inst))),
     (QUOTIENT_IDS, lambda run: _theta_quotient_checks(run.inst)),
     (CENSUBSYSTEM_IDS, lambda run: run_censubsystem_checks(run.inst)),

@@ -47,6 +47,30 @@ def test_python_m_entry_point():
     assert "S4: degree 4" in proc.stdout
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # a reader that is gone before the first write: whether the first failed
+    # write is one of many small ones or the flush at exit, the command stops
+    # with EXIT_CLOSED_OUTPUT and writes nothing to stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    for args in (
+        ["classify", "--builtin", "S3", "--prime", "5"],
+        ["build", "--builtin", "S4", "--prime", "2"],
+        ["list-builtins"],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fusionloc", *args],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_OUTPUT, ""), args
+
+
 def test_classify_s4(capsys):
     code, out, _ = run_cli(capsys, ["classify", "--builtin", "S4", "--prime", "2"])
     assert code == 0
@@ -190,6 +214,10 @@ def test_build_writer_matches_dumps_oracle(capsys, tmp_path, monkeypatch, args):
         "axioms": data["axioms"],
         "checks": data["checks"],
     }
+    if "--quotient-theta" in args:
+        # Theta is trivial: build prints the Delta* locality, named L*(S4)
+        assert oracle["locality"]["label"] == "L(S4)"
+        oracle["locality"]["label"] = "L*(S4)"
     if "--export" in args and args[args.index("--export") + 1] == "json":
         oracle["transporter"] = transporter_to_json(tc)
     if "dot" in args:
@@ -234,6 +262,9 @@ class HashSink:
         self.digest.update(text.encode("utf-8"))
         self.length += len(text)
         return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 def test_build_writer_streams(tmp_path, monkeypatch):
@@ -561,7 +592,7 @@ def test_object_sets_and_localities_on_s4(capsys):
     assert "fusion" not in inst.__dict__  # "all" reads no F_S(G)
     L = inst.locality("all")
     assert inst.locality("delta-star") is L and inst.locality("centric") is not L
-    # once Theta is read, its Delta* locality serves every set equal to Delta*
+    # Theta quotients that same locality
     td = inst.theta
     assert inst.locality("all") is td.locality
     assert inst.locality("delta") is td.locality

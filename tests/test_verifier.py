@@ -122,17 +122,18 @@ def rebuilt_stage_rows(inst):
     """The locality-stage rows with each stage's locality built afresh and
     checked on its own, as before equal localities were shared."""
     subject = inst.instance_id
-    td = theta_quotient(inst.deltas, inst.group, inst.s_real)
     table = inst.fusion.classification_table()
     stages = (
         ("/L-all", nontrivial(frozenset(inst.s_real.group.subgroup_masks()))),
         ("/L-centric", frozenset(P for P in inst.fusion.subgroups() if table[P].centric)),
-        ("/L-delta*", td.locality.delta),
+        ("/L-delta*", nontrivial(inst.deltas.delta_star)),
     )
     rows = []
     for suffix, gamma in stages:
         L = locality_from_group(inst.group, inst.sylow, gamma, inst.prime, s_real=inst.s_real)
         rows += run_locality_checks(L, subject + suffix)
+    # L is the Delta* locality, the last one built
+    td = theta_quotient(inst.deltas, L, inst.s_real)
     if td.quotient is not td.locality:
         rows += run_locality_checks(td.quotient, subject + "/L-theta-quot")
     return rows
@@ -275,34 +276,54 @@ def test_unselected_stages_compute_nothing():
     assert [r.check_id for r in rows] == ["fusion-wellformed"]
     assert "theta" not in inst.__dict__ and "normal_subsystems" not in inst.__dict__
     assert not inst._localities
-    # Theta builds its own Delta* locality; no other object set is built
+    # Theta quotients the instance's Delta* locality; no other object set is built
     inst = build_instance(CorpusEntry("S4", 2))
     rows = run_instance_checks(inst, only="theta-*")
     assert {r.check_id for r in rows} == set(THETA_IDS)
-    assert not inst._localities
+    assert inst.theta.locality is inst.locality("delta-star")
+    assert list(inst._localities.values()) == [inst.theta.locality]
+    # the all-objects locality of a characteristic p-type group needs no Theta
+    inst = build_instance(CorpusEntry("S4", 2))
+    rows = run_instance_checks(inst, only="char-p-type-*")
+    assert [r.status for r in rows] == ["pass", "pass"]
+    assert "theta" not in inst.__dict__
 
 
 def test_equal_systems_are_one_object(monkeypatch):
-    # F_S(L) of the all-objects locality, F_T(N) for N = G and F_S(G) are
-    # equal, so they are one object, and no system is classified twice
+    # equal systems are one object: none is built, saturation-tested or
+    # classified twice.  On C2xS4@p2, F_S(L) of the all-objects locality, F_T(N)
+    # for N = G and F_S(G) are equal; C2xA5@p2 has a central quotient; SL23@p3
+    # has a nontrivial Theta, so its E_loc systems live over the quotient's S
     def content(F):
         return (F.base, F.carrier, F.p, frozenset(F.maps_from.items()))
 
-    computed, classified = [], set()
-    table_of = FusionSystem.classification_table
+    built = []
+    computed = {"_saturated": [], "_table": []}
+    read = {"_saturated": set(), "_table": set()}
+    init = FusionSystem.__init__
 
-    def counted(F):
-        classified.add(content(F))
-        if F._table is None:
-            computed.append(content(F))
-        return table_of(F)
+    def counted_init(F, *args, **kwargs):
+        init(F, *args, **kwargs)
+        built.append(content(F))
 
-    monkeypatch.setattr(FusionSystem, "classification_table", counted)
-    inst = build_instance(CorpusEntry("C2xS4", 2))
-    run_instance_checks(inst)
-    assert inst.locality("all").fusion_system() is inst.fusion
-    assert inst.normal_subsystems[inst.group.full_mask].fusion is inst.fusion
-    assert len(computed) == len(classified)
+    monkeypatch.setattr(FusionSystem, "__init__", counted_init)
+    for method, memo in (("is_saturated", "_saturated"), ("classification_table", "_table")):
+
+        def counted(F, real=getattr(FusionSystem, method), memo=memo):
+            read[memo].add(content(F))
+            if getattr(F, memo) is None:
+                computed[memo].append(content(F))
+            return real(F)
+
+        monkeypatch.setattr(FusionSystem, method, counted)
+    for name, prime in (("C2xS4", 2), ("C2xA5", 2), ("SL23", 3)):
+        inst = build_instance(CorpusEntry(name, prime))
+        run_instance_checks(inst)
+        assert inst.locality("all").fusion_system() is inst.fusion
+        assert inst.normal_subsystems[inst.group.full_mask].fusion is inst.fusion
+    assert len(built) == len(set(built))
+    for memo in computed:
+        assert len(computed[memo]) == len(read[memo]), memo
     # a mutant is built directly, so it stays out of the table, and its
     # regeneration is the interned system, which differs from it
     _, mutant = next(mutate_fusion(inst.fusion, seed=1, count=1))
