@@ -89,6 +89,14 @@ def _write_json(write: Callable[[str], object], obj, indent: str = "") -> None:
         write(json.dumps(obj))
 
 
+def _open_out(path: str):
+    """``path`` opened for writing; a path that cannot be is an input error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _dump(obj, path: Optional[str] = None) -> None:
     """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, written to
     ``path`` or else to stdout."""
@@ -96,7 +104,7 @@ def _dump(obj, path: Optional[str] = None) -> None:
         _write_json(sys.stdout.write, obj)
         sys.stdout.write("\n")
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         _write_json(fh.write, obj)
         fh.write("\n")
 
@@ -244,7 +252,7 @@ def cmd_build(args) -> int:
     if args.out:
         _dump(payload, args.out + ".locality.json")
         if dot is not None:
-            with open(args.out + ".transporter.dot", "w", encoding="utf-8") as fh:
+            with _open_out(args.out + ".transporter.dot") as fh:
                 fh.write(dot)
         if not axioms.ok or failures:
             witnesses = {
@@ -311,9 +319,9 @@ def cmd_verify(args) -> int:
         fail_fast=args.fail_fast,
         supplied_subsystems=supplied,
     )
-    sys.stdout.write(report.to_table())
-    if args.json:
+    if args.json:  # before the table, which a closed stdout cuts short
         _dump(report.to_json_dict(), args.json)
+    sys.stdout.write(report.to_table())
     return EXIT_VERIFICATION if report.failures else EXIT_OK
 
 

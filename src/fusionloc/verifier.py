@@ -126,17 +126,7 @@ THETA_IDS = (
     "theta-quotient-objective", "theta-quotient-linking", "theta-fusion-match",
 )
 CHAR_P_TYPE_IDS = ("char-p-type-group-implies-fusion", "char-p-type-locality")
-# the rows that need a locality of objective characteristic p
-OBJECTIVE_IDS = (
-    "normal-iff-fixed-by-locality", "central-iff-centralized-by-locality",
-    "lradical-matches-centric-radical", "local-normalizer-is-model", "delta-subcentric",
-)
-LOCALITY_IDS = (
-    "locality-axioms", "conjugation-isomorphisms", "conjugation-word-coherence",
-    "conjugation-inverse-bijection", "normalizer-centralizer-partial-subgroups",
-    "fullynorm-sylow-normalizer", *OBJECTIVE_IDS, "quasicentric-centralizer-factorization",
-    "centric-centralizer-inside",
-)
+# LOCALITY_IDS is read off the table LOCALITY_CHECKS
 QUOTIENT_IDS = ("quotient-fusion-epimorphism-forward", "quotient-fusion-epimorphism-lift")
 CENSUBSYSTEM_IDS = ("subsystem-centralizer-match",)
 
@@ -603,63 +593,56 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# locality checks
+# locality checks: verify_locality is the prerequisite of every row of
+# LOCALITY_CHECKS; a body returns a witness (None on a pass), a precondition
+# a skip reason (None when the body applies)
 
 
-def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    base = L.s_group
-    F = L.fusion_system()
+def _sampled_pairs(L: Locality, rng: random.Random) -> list[tuple[int, int]]:
+    """The pairs (object P, g) with P inside S_g, or 400 of them drawn from rng."""
+    pairs = [(P, g) for P in L.objects_sorted() for g in range(L.size) if L.s_of(g) & P == P]
+    return sorted(rng.sample(pairs, 400) if len(pairs) > 400 else pairs)
+
+
+def _sampled_words(L: Locality, rng: random.Random) -> list[tuple[int, int, int]]:
+    """Every word of length 3 if there are at most 40,000, else 4,000 drawn from rng."""
+    n = L.size
+    if n**3 <= 40_000:
+        return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    letters = draws(rng, n)
+    return list(islice(zip(letters, letters, letters), 4000))
+
+
+def _sampling_rng(L: Locality, check_id: str) -> random.Random:
+    """The generator the conjugation row ``check_id`` draws from.  The three
+    rows draw in row order from one Random(0xC0FFEE), so the samples of the
+    rows before ``check_id`` are drawn again here."""
     rng = random.Random(0xC0FFEE)
+    if check_id != "conjugation-isomorphisms":
+        _sampled_pairs(L, rng)
+    if check_id == "conjugation-inverse-bijection":
+        _sampled_words(L, rng)
+    return rng
 
-    rep = verify_locality(L)
-    first = next((c for c in rep.failures()), None)
-    out.append(
-        _passfail(
-            "locality-axioms",
-            subject,
-            rep.ok,
-            f"{first.name}: {first.witness}" if first else None,
-        )
-    )
-    if not rep.ok:
-        return out
 
-    # conjugation induces isomorphisms N_L(P) -> N_L(P^g)
-    bad = None
-    objs = L.objects_sorted()
-    pairs = [(P, g) for P in objs for g in range(L.size) if L.s_of(g) & P == P]
-    if len(pairs) > 400:
-        pairs = rng.sample(pairs, 400)
-    for P, g in sorted(pairs):
-        img = L.conj_mask(P, g)
-        n1 = L.normalizer_ids(P)
-        n2 = set(L.normalizer_ids(img))
+def _conjugation_isomorphisms(L: Locality) -> Optional[str]:
+    """Conjugation induces isomorphisms N_L(P) -> N_L(P^g)."""
+    for P, g in _sampled_pairs(L, _sampling_rng(L, "conjugation-isomorphisms")):
         conj_images = set()
-        for f in n1:
+        for f in L.normalizer_ids(P):
             y = L.conj_elem(f, g)
             if y is None:
-                bad = (P, g, "normalizer element not conjugable")
-                break
+                return str((P, g, "normalizer element not conjugable"))
             conj_images.add(y)
-        if bad:
-            break
-        if conj_images != n2:
-            bad = (P, g, "conjugation not onto the target normalizer")
-            break
-    out.append(_passfail("conjugation-isomorphisms", subject, bad is None, str(bad)))
+        if conj_images != set(L.normalizer_ids(L.conj_mask(P, g))):
+            return str((P, g, "conjugation not onto the target normalizer"))
+    return None
 
-    # chains of conjugation maps agree with the conjugation by the product
-    bad = None
-    n = L.size
-    words: Iterable[tuple[int, ...]]
-    if n**3 <= 40_000:
-        words = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    else:
-        letters = draws(rng, n)
-        words = list(islice(zip(letters, letters, letters), 4000))
+
+def _conjugation_word_coherence(L: Locality) -> Optional[str]:
+    """Chains of conjugation maps agree with the conjugation by the product."""
     rows = L.rows
-    for w in words:
+    for w in _sampled_words(L, _sampling_rng(L, "conjugation-word-coherence")):
         a, b, c = w
         sw = L.preimage(a, L.preimage(b, L.s_of(c)))
         if sw not in L.delta:
@@ -674,15 +657,16 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
             for g in w:
                 j = L.conj_s[g][j]
             if cmap.get(i) != j:
-                bad = (w, base.element_label(L.s_ids[i]))
-                break
-        if bad:
-            break
-    out.append(_passfail("conjugation-word-coherence", subject, bad is None, str(bad)))
+                return str((w, L.s_group.element_label(L.s_ids[i])))
+    return None
 
-    # c_g is a bijection D(g) -> D(g^-1) inverted by c_{g^-1}
-    bad = None
-    sample_g = list(range(n)) if n <= 60 else sorted(rng.sample(range(n), 60))
+
+def _conjugation_inverse_bijection(L: Locality) -> Optional[str]:
+    """c_g is a bijection D(g) -> D(g^-1) inverted by c_{g^-1}."""
+    n = L.size
+    sample_g = range(n)
+    if n > 60:
+        sample_g = sorted(_sampling_rng(L, "conjugation-inverse-bijection").sample(sample_g, 60))
     for g in sample_g:
         dom = [x for x in range(n) if L.conj_elem(x, g) is not None]
         target = {x for x in range(n) if L.conj_elem(x, L.inv[g]) is not None}
@@ -691,180 +675,179 @@ def run_locality_checks(L: Locality, subject: str) -> list[CheckResult]:
             y = L.conj_elem(x, g)
             images.add(y)
             if L.conj_elem(y, L.inv[g]) != x:
-                bad = (g, x, "not inverted")
-                break
-        if bad:
-            break
+                return str((g, x, "not inverted"))
         if images != target:
-            bad = (g, "image of D(g) is not D(g^-1)")
-            break
-    out.append(
-        _passfail("conjugation-inverse-bijection", subject, bad is None, str(bad))
-    )
+            return str((g, "image of D(g) is not D(g^-1)"))
+    return None
 
-    # N_L(R), C_L(R) are partial subgroups for every R <= S
-    bad = None
-    for R in base.subgroup_masks():
+
+def _normalizer_centralizer_partial_subgroups(L: Locality) -> Optional[str]:
+    """N_L(R) and C_L(R) are partial subgroups for every R <= S."""
+    for R in L.s_group.subgroup_masks():
         for ids in (L.normalizer_ids(R), L.centralizer_ids(R)):
             gap = L.subgroup_gap(ids, total=False)
             if gap is not None:
-                bad = (R, *gap)
-                break
-        if bad:
-            break
-    out.append(
-        _passfail(
-            "normalizer-centralizer-partial-subgroups", subject, bad is None, str(bad)
-        )
-    )
+                return str((R, *gap))
+    return None
 
-    # fully normalized objects vs Sylow normalizers, with fusion equalities
-    sat = F.is_saturated()
-    table = F.classification_table() if sat else None
-    bad = None
-    for P in objs:
-        grp, ordered = L.normalizer_group(P)
+
+def _fullynorm_sylow_normalizer(L: Locality) -> Optional[str]:
+    """Fully normalized objects are those with N_S(P) Sylow in N_L(P), and
+    there N_F(P) and C_F(P) are the fusion of N_L(P) and C_L(P)."""
+    base, F = L.s_group, L.fusion_system()
+    for P in L.objects_sorted():
         ns_mask = base.normalizer_mask(P)
-        sylow_size = p_part(grp.order, L.p)
         fully = F.is_fully_normalized(P)
-        if fully != (popcount(ns_mask) == sylow_size):
-            bad = (P, "fully-normalized mismatch with Sylow condition")
-            break
-        if fully:
-            NF = F.normalizer_subsystem(P)
-            partials = [L.conj_s[f] for f in L.normalizer_ids(P)]
-            loc_maps = maps_from_partials(base, ns_mask, partials)
-            if loc_maps != {m: NF.maps_from[m] for m in loc_maps}:
-                bad = (P, "N_F(P) differs from the normalizer-group fusion")
-                break
-            CF = F.centralizer_subsystem(P)
-            cs_mask = base.centralizer_mask(P)
-            partials = [L.conj_s[f] for f in L.centralizer_ids(P)]
-            loc_cmaps = maps_from_partials(base, cs_mask, partials)
-            if loc_cmaps != {m: CF.maps_from[m] for m in loc_cmaps}:
-                bad = (P, "C_F(P) differs from the centralizer fusion")
-                break
-    out.append(
-        _passfail("fullynorm-sylow-normalizer", subject, bad is None, str(bad))
-    )
+        if fully != (popcount(ns_mask) == p_part(L.normalizer_group(P)[0].order, L.p)):
+            return str((P, "fully-normalized mismatch with Sylow condition"))
+        if not fully:
+            continue
+        NF = F.normalizer_subsystem(P)
+        partials = [L.conj_s[f] for f in L.normalizer_ids(P)]
+        loc_maps = maps_from_partials(base, ns_mask, partials)
+        if loc_maps != {m: NF.maps_from[m] for m in loc_maps}:
+            return str((P, "N_F(P) differs from the normalizer-group fusion"))
+        CF = F.centralizer_subsystem(P)
+        partials = [L.conj_s[f] for f in L.centralizer_ids(P)]
+        loc_cmaps = maps_from_partials(base, base.centralizer_mask(P), partials)
+        if loc_cmaps != {m: CF.maps_from[m] for m in loc_cmaps}:
+            return str((P, "C_F(P) differs from the centralizer fusion"))
+    return None
 
-    objective = L.is_objective_char_p()
-    if not objective:
-        for cid in OBJECTIVE_IDS:
-            out.append(_skip(cid, subject, "locality not of objective characteristic p"))
-    else:
-        # Q normal in F iff L = N_L(Q); Q central iff L = C_L(Q)
-        bad_n = []
-        bad_c = []
-        full = tuple(range(L.size))
-        zmask = F.center_mask()
-        for Q in base.subgroup_masks():
-            fixed = L.normalizer_ids(Q) == full
-            if F.is_normal_in_fusion(Q) != fixed:
-                bad_n.append(Q)
-            centralized = L.centralizer_ids(Q) == full
-            if (Q & zmask == Q) != centralized:
-                bad_c.append(Q)
-        out.append(
-            _passfail(
-                "normal-iff-fixed-by-locality", subject, not bad_n, _min_witness(base, bad_n)
-            )
-        )
-        out.append(
-            _passfail(
-                "central-iff-centralized-by-locality",
-                subject,
-                not bad_c,
-                _min_witness(base, bad_c),
-            )
-        )
-        # L-radical objects are exactly the centric radical ones
-        cr = set(F.centric_radical_masks())
-        bad = [P for P in objs if L.is_l_radical(P) != (P in cr)]
-        out.append(
-            _passfail(
-                "lradical-matches-centric-radical", subject, not bad, _min_witness(base, bad)
-            )
-        )
-        # model property at fully normalized objects, and Delta <= F^s
-        if not sat:
-            out.append(_skip("local-normalizer-is-model", subject, "fusion system not saturated"))
-            out.append(_skip("delta-subcentric", subject, "fusion system not saturated"))
-        else:
-            bad = []
-            for P in objs:
-                if not F.is_fully_normalized(P):
-                    continue
-                # objective characteristic p already holds at every object
-                grp, _ = L.normalizer_group(P)
-                if p_part(grp.order, L.p) != popcount(base.normalizer_mask(P)):
-                    bad.append(P)
-            out.append(
-                _passfail(
-                    "local-normalizer-is-model", subject, not bad, _min_witness(base, bad)
-                )
-            )
-            bad = [P for P in objs if not table[P].subcentric]
-            out.append(
-                _passfail("delta-subcentric", subject, not bad, _min_witness(base, bad))
-            )
 
-    # centralizer factorization on quasicentric objects
-    if sat:
-        quasi = {P for P in objs if table[P].quasicentric}
-        if all(P in quasi for P in objs):
-            bad = []
-            for P in objs:
-                if not F.is_fully_normalized(P):
-                    continue
-                grp, ordered = L.centralizer_group(P)
-                theta = o_p_prime_mask(grp, L.p)
-                cs_ids = set(L.s_ids[i] for i in bits(base.centralizer_mask(P)))
-                prod = set()
-                for a in bits(theta):
-                    for s in cs_ids:
-                        c = rows[s][ordered[a]]
-                        if c >= 0:
-                            prod.add(c)
-                if prod != set(ordered):
-                    bad.append(P)
-            out.append(
-                _passfail(
-                    "quasicentric-centralizer-factorization",
-                    subject,
-                    not bad,
-                    _min_witness(base, bad),
-                )
-            )
+def _normal_iff_fixed(L: Locality) -> Optional[str]:
+    """Q is normal in F iff L = N_L(Q)."""
+    F, full = L.fusion_system(), tuple(range(L.size))
+    masks = L.s_group.subgroup_masks()
+    bad = [Q for Q in masks if F.is_normal_in_fusion(Q) != (L.normalizer_ids(Q) == full)]
+    return _min_witness(L.s_group, bad)
+
+
+def _central_iff_centralized(L: Locality) -> Optional[str]:
+    """Q is central in F iff L = C_L(Q)."""
+    zmask, full = L.fusion_system().center_mask(), tuple(range(L.size))
+    masks = L.s_group.subgroup_masks()
+    bad = [Q for Q in masks if (Q & zmask == Q) != (L.centralizer_ids(Q) == full)]
+    return _min_witness(L.s_group, bad)
+
+
+def _lradical_matches_centric_radical(L: Locality) -> Optional[str]:
+    """The L-radical objects are exactly the centric radical ones."""
+    cr = set(L.fusion_system().centric_radical_masks())
+    bad = [P for P in L.objects_sorted() if L.is_l_radical(P) != (P in cr)]
+    return _min_witness(L.s_group, bad)
+
+
+def _local_normalizer_is_model(L: Locality) -> Optional[str]:
+    """N_L(P) is a model at fully normalized P: N_S(P) is Sylow in it
+    (objective characteristic p already holds at every object)."""
+    base, F = L.s_group, L.fusion_system()
+    bad = [
+        P
+        for P in L.objects_sorted()
+        if F.is_fully_normalized(P)
+        and p_part(L.normalizer_group(P)[0].order, L.p) != popcount(base.normalizer_mask(P))
+    ]
+    return _min_witness(base, bad)
+
+
+def _delta_subcentric(L: Locality) -> Optional[str]:
+    """Delta <= F^s."""
+    table = L.fusion_system().classification_table()
+    return _min_witness(L.s_group, [P for P in L.objects_sorted() if not table[P].subcentric])
+
+
+def _quasicentric_centralizer_factorization(L: Locality) -> Optional[str]:
+    """C_L(P) = C_S(P) O_p'(C_L(P)) at fully normalized quasicentric P."""
+    base, F = L.s_group, L.fusion_system()
+    bad = []
+    for P in L.objects_sorted():
+        if not F.is_fully_normalized(P):
+            continue
+        grp, ordered = L.centralizer_group(P)
+        cs_ids = [L.s_ids[i] for i in bits(base.centralizer_mask(P))]
+        theta = [ordered[a] for a in bits(o_p_prime_mask(grp, L.p))]
+        # the products s t, s in C_S(P) and t in O_p'(C_L(P)), that are defined
+        if {L.rows[s][t] for t in theta for s in cs_ids} - {-1} != set(ordered):
+            bad.append(P)
+    return _min_witness(base, bad)
+
+
+def _centric_centralizer_inside(L: Locality) -> Optional[str]:
+    """C_L(P) <= P for centric objects P."""
+    objs = L.objects_sorted()
+    bad = [P for P in objs if not set(L.centralizer_ids(P)) <= {L.s_ids[i] for i in bits(P)}]
+    return _min_witness(L.s_group, bad)
+
+
+def _objective(L: Locality) -> Optional[str]:
+    return None if L.is_objective_char_p() else "locality not of objective characteristic p"
+
+
+def _saturated(L: Locality) -> Optional[str]:
+    return None if L.fusion_system().is_saturated() else "fusion system not saturated"
+
+
+def _objective_saturated(L: Locality) -> Optional[str]:
+    return _objective(L) or _saturated(L)
+
+
+def _inside(L: Locality, flag: str) -> bool:
+    """Whether every object has the classification ``flag`` in F_S(L)."""
+    table = L.fusion_system().classification_table()
+    return all(getattr(table[P], flag) for P in L.delta)
+
+
+def _in_fq(L: Locality) -> Optional[str]:
+    return _saturated(L) or (None if _inside(L, "quasicentric") else "object set not inside F^q")
+
+
+def _in_fc(L: Locality) -> Optional[str]:
+    reason = "object set not inside F^c (or not objective characteristic p)"
+    return _saturated(L) or (None if L.is_objective_char_p() and _inside(L, "centric") else reason)
+
+
+# The locality rows after locality-axioms, in row order: (check id, skip
+# precondition or None, body).
+LOCALITY_CHECKS: tuple[tuple[str, Optional[Callable], Callable], ...] = (
+    ("conjugation-isomorphisms", None, _conjugation_isomorphisms),
+    ("conjugation-word-coherence", None, _conjugation_word_coherence),
+    ("conjugation-inverse-bijection", None, _conjugation_inverse_bijection),
+    ("normalizer-centralizer-partial-subgroups", None, _normalizer_centralizer_partial_subgroups),
+    ("fullynorm-sylow-normalizer", None, _fullynorm_sylow_normalizer),
+    ("normal-iff-fixed-by-locality", _objective, _normal_iff_fixed),
+    ("central-iff-centralized-by-locality", _objective, _central_iff_centralized),
+    ("lradical-matches-centric-radical", _objective, _lradical_matches_centric_radical),
+    ("local-normalizer-is-model", _objective_saturated, _local_normalizer_is_model),
+    ("delta-subcentric", _objective_saturated, _delta_subcentric),
+    ("quasicentric-centralizer-factorization", _in_fq, _quasicentric_centralizer_factorization),
+    ("centric-centralizer-inside", _in_fc, _centric_centralizer_inside),
+)
+LOCALITY_IDS = ("locality-axioms", *(cid for cid, _, _ in LOCALITY_CHECKS))
+
+
+def run_locality_checks(L: Locality, subject: str, only: Optional[str] = None) -> list[CheckResult]:
+    """The locality-axioms row and the LOCALITY_CHECKS rows that ``only``
+    selects, in row order, each computed only if selected.  Failed axioms
+    leave only their fail row, emitted also when ``only`` selects just the
+    rows they block."""
+    selected = [row for row in LOCALITY_CHECKS if only is None or fnmatch.fnmatch(row[0], only)]
+    axioms_selected = only is None or fnmatch.fnmatch("locality-axioms", only)
+    if not (selected or axioms_selected):
+        return []
+    rep = verify_locality(L)
+    if not rep.ok:
+        first = next(iter(rep.failures()), None)
+        witness = f"{first.name}: {first.witness}" if first else None
+        return [_passfail("locality-axioms", subject, False, witness)]
+    out = [_passfail("locality-axioms", subject, True, None)] if axioms_selected else []
+    for cid, precondition, body in selected:
+        reason = precondition(L) if precondition else None
+        if reason is not None:
+            out.append(_skip(cid, subject, reason))
         else:
-            out.append(
-                _skip(
-                    "quasicentric-centralizer-factorization",
-                    subject,
-                    "object set not inside F^q",
-                )
-            )
-        centric = {P for P in objs if table[P].centric}
-        if objective and all(P in centric for P in objs):
-            bad = []
-            for P in objs:
-                cs_ids = set(L.centralizer_ids(P))
-                members = {L.s_ids[i] for i in bits(P)}
-                if not cs_ids <= members:
-                    bad.append(P)
-            out.append(
-                _passfail(
-                    "centric-centralizer-inside", subject, not bad, _min_witness(base, bad)
-                )
-            )
-        else:
-            out.append(
-                _skip(
-                    "centric-centralizer-inside",
-                    subject,
-                    "object set not inside F^c (or not objective characteristic p)",
-                )
-            )
+            witness = body(L)
+            out.append(_passfail(cid, subject, witness is None, witness))
     return out
 
 
@@ -1144,20 +1127,21 @@ def _normal_quotient_checks(inst: Instance) -> list[CheckResult]:
 @dataclass
 class _Run:
     """One instance's pass through the stages: the instance, the index
-    subsystems supplied for it, and the rows of each locality checked so far."""
+    subsystems supplied for it, the ``only`` glob and each checked locality's rows."""
 
     inst: Instance
     supplied: Sequence[tuple[int, str]]
+    only: Optional[str] = None
     checked: dict[Locality, list[CheckResult]] = field(default_factory=dict)
 
     def locality_rows(self, suffix: str, L: Optional[Locality]) -> list[CheckResult]:
-        """The rows of L (none if L is None) under ``<instance><suffix>``; a
-        locality checked before is not checked again."""
+        """The selected rows of L (none if L is None) under
+        ``<instance><suffix>``; a locality checked before is not checked again."""
         if L is None:
             return []
         subject = self.inst.instance_id
         if L not in self.checked:
-            self.checked[L] = run_locality_checks(L, subject)
+            self.checked[L] = run_locality_checks(L, subject, self.only)
         return [replace(r, subject=subject + suffix) for r in self.checked[L]]
 
 
@@ -1192,13 +1176,19 @@ def run_instance_checks(
 ) -> list[CheckResult]:
     """The rows of the stages whose ids ``only`` selects, in stage order, each
     computed only if selected; ``fail_fast`` stops after the first stage that
-    emits a selected failure."""
-    run = _Run(inst, supplied_subsystems)
+    emits a failure.  An unselected row is dropped, except the failed
+    locality-axioms row that run_locality_checks emits in place of the
+    selected rows it blocks."""
+    run = _Run(inst, supplied_subsystems, only)
     out: list[CheckResult] = []
     for ids, body in STAGES:
         if only is not None and not fnmatch.filter(ids, only):
             continue
-        rows = [r for r in body(run) if only is None or fnmatch.fnmatch(r.check_id, only)]
+        rows = [
+            r
+            for r in body(run)
+            if only is None or fnmatch.fnmatch(r.check_id, only) or r.check_id == "locality-axioms"
+        ]
         out.extend(rows)
         if fail_fast and any(r.status == "fail" for r in rows):
             break

@@ -71,6 +71,45 @@ def test_closed_stdout_exits_quietly(unbuffered):
         assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_OUTPUT, ""), args
 
 
+def test_verify_json_written_when_stdout_closed(tmp_path):
+    # the --json report is written before the table, so a reader that is gone
+    # ends the command with EXIT_CLOSED_OUTPUT but leaves the report whole
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    report = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fusionloc", "verify", "--only", "fusion-wellformed",
+             "--json", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_OUTPUT, "")
+    got = json.loads(report.read_text())
+    assert got["checks"] == len(DEFAULT_CORPUS) and got["failures"] == 0
+
+
+def test_unwritable_output_is_an_input_error(tmp_path):
+    # a path in a missing directory exits 3 with one error line, no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    missing = str(tmp_path / "missing" / "x")
+    for args in (
+        ["verify", "--only", "fusion-wellformed", "--json", missing],
+        ["classify", "--builtin", "S3", "--prime", "2", "--out", missing],
+        ["build", "--builtin", "S3", "--prime", "2", "--out", missing],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fusionloc", *args],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == cli.EXIT_INPUT, (args, proc.stderr)
+        assert proc.stderr.startswith("error: cannot write " + missing), (args, proc.stderr)
+        assert proc.stderr.count("\n") == 1, (args, proc.stderr)
+
+
 def test_classify_s4(capsys):
     code, out, _ = run_cli(capsys, ["classify", "--builtin", "S4", "--prime", "2"])
     assert code == 0

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,16 @@ from fusionloc.constructions import nontrivial, theta_quotient
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
 from fusionloc.fusion import FusionSystem, abstract_fusion, subsystem_from_normal_subgroup
 from fusionloc.groups import p_part, popcount
-from fusionloc.locality import locality_from_group, verify_locality
+from fusionloc.locality import (
+    AxiomCheck,
+    LocalityAxiomReport,
+    draws,
+    locality_from_group,
+    verify_locality,
+)
 from fusionloc.verifier import (
+    LOCALITY_CHECKS,
+    LOCALITY_IDS,
     STAGES,
     CheckResult,
     CorpusReport,
@@ -147,9 +157,9 @@ def test_equal_localities_checked_once(monkeypatch, name, prime):
 
     checked = []
 
-    def counting_locality_checks(L, subject):
+    def counting_locality_checks(L, subject, only=None):
         checked.append(L)
-        return run_locality_checks(L, subject)
+        return run_locality_checks(L, subject, only)
 
     monkeypatch.setattr(verifier, "run_locality_checks", counting_locality_checks)
     inst = build_instance(CorpusEntry(name, prime))
@@ -162,6 +172,117 @@ def test_equal_localities_checked_once(monkeypatch, name, prime):
     stage_keys = {(r.check_id, r.subject) for r in expected}
     rest = rows[:start] + rows[start + len(expected) :]
     assert not any((r.check_id, r.subject) in stage_keys for r in rest)
+
+
+def test_locality_ids_are_the_table():
+    assert LOCALITY_IDS == ("locality-axioms", *(cid for cid, _, _ in LOCALITY_CHECKS))
+    assert len(set(LOCALITY_IDS)) == 13
+
+
+def single_generator_states(L):
+    """The generator state at each conjugation row that draws, as the rows
+    drew in row order from one Random(0xC0FFEE) when one function computed
+    every locality row."""
+    rng = random.Random(0xC0FFEE)
+    states = {}
+    objs = L.objects_sorted()
+    pairs = [(P, g) for P in objs for g in range(L.size) if L.s_of(g) & P == P]
+    if len(pairs) > 400:
+        states["conjugation-isomorphisms"] = rng.getstate()
+        rng.sample(pairs, 400)
+    n = L.size
+    if n**3 > 40_000:
+        states["conjugation-word-coherence"] = rng.getstate()
+        letters = draws(rng, n)
+        list(islice(zip(letters, letters, letters), 4000))
+    if n > 60:
+        states["conjugation-inverse-bijection"] = rng.getstate()
+    return states
+
+
+def test_sampled_rows_see_the_single_generator_states(corpus, monkeypatch):
+    import fusionloc.verifier as verifier
+
+    seen = {}
+    real = verifier._sampling_rng
+
+    def recording_rng(L, check_id):
+        rng = real(L, check_id)
+        seen[check_id] = rng.getstate()
+        return rng
+
+    monkeypatch.setattr(verifier, "_sampling_rng", recording_rng)
+    localities = {}
+    for e in DEFAULT_CORPUS:
+        inst = corpus.instance(e.name, e.prime)
+        kinds = [inst.locality(k) for k in ("all", "centric", "delta-star")]
+        for L in kinds + [verifier._theta_quotient(inst)]:
+            if L is not None:
+                localities[id(L)] = L
+    sampling = Counter()
+    for L in localities.values():
+        expected = single_generator_states(L)
+        seen.clear()
+        for cid, _, body in LOCALITY_CHECKS[:3]:
+            assert body(L) is None, (L.label, cid)
+        for cid, state in expected.items():
+            assert seen.get(cid) == state, (L.label, cid)
+        sampling.update(expected.keys())
+    # 25 distinct localities; the corpus reaches each of the three samples
+    assert len(localities) == 25
+    assert sampling == {
+        "conjugation-isomorphisms": 2,
+        "conjugation-word-coherence": 3,
+        "conjugation-inverse-bijection": 1,
+    }
+
+
+def test_gated_locality_bodies_are_live(corpus):
+    # on S4@p2 the all-objects set holds non-centric objects and the
+    # subcentric set non-quasicentric ones, so both rows are skipped there,
+    # yet their bodies find the failure the precondition guards against
+    import fusionloc.verifier as verifier
+
+    inst = corpus.instance("S4", 2)
+    cases = (
+        ("all", "centric-centralizer-inside", verifier._centric_centralizer_inside),
+        (
+            "subcentric",
+            "quasicentric-centralizer-factorization",
+            verifier._quasicentric_centralizer_factorization,
+        ),
+    )
+    for kind, cid, body in cases:
+        L = inst.locality(kind)
+        assert body(L) is not None, cid
+        (row,) = run_locality_checks(L, "S4@p2", only=cid)
+        assert row.status == "skipped" and row.reason.startswith("object set not inside"), row
+        # the centric locality meets both preconditions, and both rows pass
+        (row,) = run_locality_checks(inst.locality("centric"), "S4@p2", only=cid)
+        assert row.status == "pass", row
+
+
+def test_failed_axioms_shown_when_they_block_selected_rows(monkeypatch):
+    # a selected locality row blocked by failed axioms is reported as the
+    # locality-axioms failure, selected or not, so the run does not pass
+    import fusionloc.verifier as verifier
+
+    forged = LocalityAxiomReport((AxiomCheck("inverse-involution", False, "forged"),))
+    monkeypatch.setattr(verifier, "verify_locality", lambda L: forged)
+    inst = build_instance(CorpusEntry("S4", 2))
+    for only in ("conjugation-isomorphisms", "*locality*", "locality-axioms"):
+        rows = run_instance_checks(inst, only=only)
+        axioms = [r for r in rows if r.check_id == "locality-axioms"]
+        assert axioms and all(r.status == "fail" for r in axioms), only
+        assert {r.witness for r in axioms} == {"inverse-involution: forged"}
+        assert not any(r.check_id in LOCALITY_IDS[1:] for r in rows), only
+    # fail_fast stops the instance at the first blocked locality stage
+    rows = run_instance_checks(inst, only="conjugation-isomorphisms", fail_fast=True)
+    assert [(r.check_id, r.subject) for r in rows] == [("locality-axioms", "S4@p2/L-all")]
+    # a glob that selects no locality id runs no locality stage
+    assert [r.check_id for r in run_instance_checks(inst, only="inclusion-chain")] == [
+        "inclusion-chain"
+    ]
 
 
 def test_axiom_report_kept_on_locality(corpus):
