@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .corpus import BUILTINS, DEFAULT_CORPUS, OBJECT_KINDS, CorpusEntry, Instance, builtin_group
 from .errors import FusionlocError, ParseError, VerificationFailed
-from .groups import load_group_file, perm_from_cycles, popcount
+from .groups import load_group_file, perm_from_cycles, popcount, read_json_file
 from .locality import (
     Locality,
     TransporterCategory,
@@ -89,12 +90,24 @@ def _write_json(write: Callable[[str], object], obj, indent: str = "") -> None:
         write(json.dumps(obj))
 
 
-def _open_out(path: str):
+def _open_out(path: str, mode: str = "w"):
     """``path`` opened for writing; a path that cannot be is an input error."""
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(*paths: Optional[str]) -> None:
+    """Fail before the work on an output path that cannot be opened for
+    writing.  Appending leaves an existing file as it was and a file this
+    creates is removed again, so a command that fails later leaves none."""
+    for path in paths:
+        if path is not None:
+            existed = os.path.lexists(path)
+            _open_out(path, "a").close()
+            if not existed:
+                os.remove(path)
 
 
 def _dump(obj, path: Optional[str] = None) -> None:
@@ -213,11 +226,15 @@ def _classification_report(inst: Instance) -> dict:
 
 
 def cmd_classify(args) -> int:
+    _check_writable(args.out)
     _dump(_classification_report(_load_instance(args)), args.out)
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
+    if args.out:
+        dot_path = args.out + ".transporter.dot" if args.export == "dot" else None
+        _check_writable(args.out + ".locality.json", dot_path)
     inst = _load_instance(args)
     if args.quotient_theta and args.objects != "delta-star":
         raise ParseError("--quotient-theta requires --objects delta-star")
@@ -270,11 +287,7 @@ def cmd_build(args) -> int:
 
 
 def _load_supplied_subsystems(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read subsystem file {path}: {exc}") from exc
+    raw = read_json_file(path, "subsystem")
     if not isinstance(raw, dict):
         raise ParseError("subsystem file must map instance ids to lists of specs")
     names = {f"{e.name}@p{e.prime}": e.name for e in DEFAULT_CORPUS}
@@ -313,6 +326,7 @@ def _load_supplied_subsystems(path: str) -> dict:
 def cmd_verify(args) -> int:
     if args.only is not None and not fnmatch.filter(CHECK_IDS, args.only):
         raise ParseError(f"--only {args.only!r} matches no check id")
+    _check_writable(args.json)
     supplied = _load_supplied_subsystems(args.subsystems) if args.subsystems else None
     report = run_corpus(
         only=args.only,
@@ -385,8 +399,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.flush()  # a closed pipe fails here, not at the exit flush
         return code
     except BrokenPipeError:
-        import os  # loaded at start-up already; kept off the common path
-
         # stdout on devnull: the exit flush drops the unwritten rest quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_OUTPUT

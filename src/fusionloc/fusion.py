@@ -18,7 +18,8 @@ from __future__ import annotations
 import weakref
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     FusionlocError,
@@ -45,43 +46,6 @@ from .groups import (
 )
 
 Morphism = tuple  # image tuple aligned with the sorted elements of the domain
-
-
-# ---------------------------------------------------------------------------
-# provenance records
-
-
-@dataclass(frozen=True)
-class GroupProvenance:
-    group: FiniteGroup
-    s_real: RealizedSubgroup
-
-
-@dataclass(frozen=True)
-class NormalSubgroupProvenance:
-    group: FiniteGroup
-    s_real: RealizedSubgroup
-    n_mask: int
-
-
-@dataclass(frozen=True)
-class LocalityProvenance:
-    """F_S(L)'s generators c_f on S_f; holds no reference to L, so no cycle."""
-
-    s_group: FiniteGroup
-    p: int
-    label: str
-    generators: tuple[tuple[int, Morphism], ...]
-
-
-@dataclass(frozen=True)
-class AbstractProvenance:
-    generators: tuple
-
-
-@dataclass(frozen=True)
-class DerivedProvenance:
-    kind: str
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +230,6 @@ class FClassData:
 class Subsystem:
     """A subsystem of F over T <= S, with whether its morphisms lie in F."""
 
-    t_mask: int
     fusion: "FusionSystem"
     embedding_ok: bool
 
@@ -293,14 +256,14 @@ _SYSTEMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def _interned(
     base: FiniteGroup, carrier: int, p: int, maps_from: dict[int, frozenset],
-    provenance, label: str,
+    rebuild: Optional[Callable[[], "FusionSystem"]], label: str,
 ) -> "FusionSystem":
     """The system equal to these morphism sets over ``base``: the one built
-    first, with its provenance and label, or a new one."""
+    first, with its rebuild and label, or a new one."""
     key = (base, carrier, p, frozenset(maps_from.items()))
     out = _SYSTEMS.get(key)
     if out is None:
-        out = _SYSTEMS[key] = FusionSystem(base, carrier, p, maps_from, provenance, label)
+        out = _SYSTEMS[key] = FusionSystem(base, carrier, p, maps_from, rebuild, label)
     return out
 
 
@@ -312,8 +275,9 @@ class FusionSystem:
     the verifier's E_loc intern their systems per base: systems whose carrier
     and morphism sets agree are one object, so their classes, saturation and
     classification are computed once.
-    ``provenance`` records how that object was first built; only
-    regeneration reads it.
+    ``rebuild`` is None or a zero-argument callable that builds it again from
+    the inputs it was first built from, for regeneration; it holds no
+    ``FusionSystem`` or ``Locality``, so it closes no reference cycle.
     """
 
     def __init__(
@@ -322,14 +286,14 @@ class FusionSystem:
         carrier: int,
         p: int,
         maps_from: dict[int, frozenset],
-        provenance,
+        rebuild: Optional[Callable[[], "FusionSystem"]],
         label: str = "F",
     ) -> None:
         self.base = base
         self.carrier = carrier
         self.p = p
         self.maps_from = maps_from
-        self.provenance = provenance
+        self.rebuild = rebuild
         self.label = label
         self._classes: Optional[tuple[FClassData, ...]] = None
         self._class_of: dict[int, FClassData] = {}
@@ -714,7 +678,7 @@ class FusionSystem:
             new_carrier,
             self.p,
             {m: frozenset(s) for m, s in maps.items()},
-            DerivedProvenance("k-normalizer"),
+            None,
             f"N_{self.label}({base.subgroup_label(Q)})",
         )
 
@@ -793,7 +757,7 @@ def fusion_from_group(
         base.full_mask,
         p,
         maps_from_partials(base, base.full_mask, partials),
-        GroupProvenance(group=G, s_real=real),
+        partial(fusion_from_group, G, S, p),
         f"F_{S.label()}({G.label})",
     )
 
@@ -822,22 +786,22 @@ def abstract_fusion(
 ) -> FusionSystem:
     """Close generating morphisms into a fusion system over the whole base."""
     carrier = base.full_mask
+    generators = tuple(generators)
     maps = close_morphism_sets(base, carrier, generators)
     return FusionSystem(
-        base,
-        carrier,
-        p,
-        maps,
-        AbstractProvenance(generators=tuple(generators)),
-        label=label,
+        base, carrier, p, maps, partial(abstract_fusion, base, p, generators, label), label
     )
 
 
-def locality_fusion(prov: LocalityProvenance) -> FusionSystem:
-    """F_S(L), closed from the conjugation maps recorded in ``prov``."""
-    base = prov.s_group
-    maps = close_morphism_sets(base, base.full_mask, prov.generators)
-    return _interned(base, base.full_mask, prov.p, maps, prov, f"F_S({prov.label})")
+def locality_fusion(
+    base: FiniteGroup, p: int, label: str, generators: tuple[tuple[int, Morphism], ...]
+) -> FusionSystem:
+    """F_S(L) of the locality named ``label`` over S = ``base``, closed from
+    its conjugation maps c_f on S_f; takes L's generators, not L, so the
+    system's rebuild holds no locality."""
+    maps = close_morphism_sets(base, base.full_mask, generators)
+    rebuild = partial(locality_fusion, base, p, label, generators)
+    return _interned(base, base.full_mask, p, maps, rebuild, f"F_S({label})")
 
 
 def is_constrained(F: FusionSystem) -> bool:
@@ -875,7 +839,7 @@ def quotient_mod_central(F: FusionSystem, Z: int) -> CentralQuotient:
         Sq.full_mask,
         F.p,
         {m: frozenset(s) for m, s in maps.items()},
-        DerivedProvenance("central-quotient"),
+        None,
         f"{F.label}/{base.subgroup_label(Z)}",
     )
     return CentralQuotient(source=F, z_mask=Z, quotient=quotient, quotient_group=qg)
@@ -891,20 +855,29 @@ def subsystem_from_normal_subgroup(
     t_parent = n_mask & real.mask
     if p_part(popcount(n_mask), F.p) != popcount(t_parent):
         raise NotSylowInN("N cap S is not Sylow in N")
-    t_mask = real.mask_from_parent(t_parent)
-    partials = conjugation_partials(G, real, G.mask_elements(n_mask))
-    E = _interned(
-        real.group,
-        t_mask,
-        F.p,
-        maps_from_partials(real.group, t_mask, partials),
-        NormalSubgroupProvenance(group=G, s_real=real, n_mask=n_mask),
-        f"F_T(N<{G.label})",
-    )
+    E = _normal_subgroup_fusion(G, real, n_mask, F.p)
     embedding_ok = all(
         set(E.maps_from[A]) <= set(F.maps_from[A]) for A in E.subgroups()
     )
-    return Subsystem(t_mask=t_mask, fusion=E, embedding_ok=embedding_ok)
+    return Subsystem(fusion=E, embedding_ok=embedding_ok)
+
+
+def _normal_subgroup_fusion(
+    G: FiniteGroup, real: RealizedSubgroup, n_mask: int, p: int
+) -> FusionSystem:
+    """F_T(N) over ``real``, from G, S, N and p alone: its rebuild holds no
+    ambient F, which caches F_T(N) as a local subsystem and would close a
+    reference cycle through it."""
+    t_mask = real.mask_from_parent(n_mask & real.mask)
+    partials = conjugation_partials(G, real, G.mask_elements(n_mask))
+    return _interned(
+        real.group,
+        t_mask,
+        p,
+        maps_from_partials(real.group, t_mask, partials),
+        partial(_normal_subgroup_fusion, G, real, n_mask, p),
+        f"F_T(N<{G.label})",
+    )
 
 
 def subsystem_centralized_by(F: FusionSystem, E: FusionSystem, X: int) -> bool:

@@ -19,6 +19,7 @@ import json
 import random
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice, product
 from math import gcd, isqrt
 from operator import itemgetter
 from struct import Struct
@@ -189,6 +190,22 @@ def _flat_table(table: array | Sequence[Sequence[int]]) -> array:
     return flat
 
 
+def draws(rng: random.Random, n: int) -> Iterator[int]:
+    """The endless stream ``rng.randrange(n), rng.randrange(n), ...``, lazily.
+
+    This is CPython's ``Random._randbelow_with_getrandbits`` inlined, so the
+    draws and the state ``rng`` is left in equal those of ``randrange``
+    (n = 1 still consumes bits) without its three Python calls per draw.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    while True:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        yield r
+
+
 class FiniteGroup:
     """A finite group on indices 0..order-1 with a full Cayley table.
 
@@ -323,16 +340,11 @@ class FiniteGroup:
     def _verify_associativity(self, exhaustive: bool) -> None:
         n = self.order
         if exhaustive:
-            rng: Iterable[tuple[int, int, int]] = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
+            triples: Iterable[tuple[int, ...]] = product(range(n), repeat=3)
         else:
-            prng = random.Random(0xA55)
-            rng = (
-                (prng.randrange(n), prng.randrange(n), prng.randrange(n))
-                for _ in range(min(200, n * n * n))
-            )
-        for a, b, c in rng:
+            letters = draws(random.Random(0xA55), n)
+            triples = islice(zip(letters, letters, letters), min(200, n * n * n))
+        for a, b, c in triples:
             if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                 raise ParseError(f"multiplication not associative at ({a},{b},{c})")
 
@@ -343,13 +355,9 @@ class FiniteGroup:
             raise ParseError("permutation representation: index 0 not the identity")
         if len(set(perms)) != self.order:
             raise ParseError("permutation representation is not faithful")
-        prng = random.Random(0x5EED)
         n = self.order
-        pairs = (
-            [(a, b) for a in range(n) for b in range(n)]
-            if n <= 64
-            else [(prng.randrange(n), prng.randrange(n)) for _ in range(400)]
-        )
+        letters = draws(random.Random(0x5EED), n)
+        pairs = product(range(n), repeat=2) if n <= 64 else islice(zip(letters, letters), 400)
         for a, b in pairs:
             if perm_compose(perms[a], perms[b]) != perms[self.mul(a, b)]:
                 raise ParseError("permutation representation is not a homomorphism")
@@ -859,13 +867,18 @@ def load_group_json(data: dict) -> FiniteGroup:
     raise ParseError("group object needs either 'table' or 'generators'")
 
 
-def load_group_file(path: str) -> FiniteGroup:
+def read_json_file(path: str, kind: str):
+    """The JSON value in the UTF-8 file at ``path``; a file that cannot be
+    read or decoded is an input error naming it as a ``kind`` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read group file {path}: {exc}") from exc
-    return load_group_json(data)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def load_group_file(path: str) -> FiniteGroup:
+    return load_group_json(read_json_file(path, "group"))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .fusion import (
     FusionSystem,
-    LocalityProvenance,
     conjugation_partials,
     image_mask,
     locality_fusion,
@@ -47,6 +46,7 @@ from .groups import (
     Subgroup,
     bits,
     cores,
+    draws,
     group_from_elements,
     o_p_mask,
     p_part,
@@ -57,22 +57,6 @@ from .groups import (
 # word budget and sampling seed of verify_locality
 WORD_CAP = 120_000
 WORD_SEED = 0
-
-
-def draws(rng: random.Random, n: int) -> Iterator[int]:
-    """The endless stream ``rng.randrange(n), rng.randrange(n), ...``, lazily.
-
-    This is CPython's ``Random._randbelow_with_getrandbits`` inlined, so the
-    draws and the state ``rng`` is left in equal those of ``randrange``
-    (n = 1 still consumes bits) without its three Python calls per draw.
-    """
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    while True:
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        yield r
 
 
 class ProductView(Mapping):
@@ -331,8 +315,7 @@ class Locality:
         and interned, so an equal F_S(G) over the same S is this object."""
         if self._fusion is None:
             gens = self.conj_generators(range(self.size), self.s_group.full_mask)
-            prov = LocalityProvenance(self.s_group, self.p, self.label, gens)
-            self._fusion = locality_fusion(prov)
+            self._fusion = locality_fusion(self.s_group, self.p, self.label, gens)
         return self._fusion
 
     def conj_generators(

@@ -19,33 +19,25 @@ from .constructions import ThetaData, is_characteristic_p_type_fusion
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
 from .errors import NotPartialNormal, VerificationFailed
 from .fusion import (
-    AbstractProvenance,
-    DerivedProvenance,
     FusionSystem,
-    GroupProvenance,
-    LocalityProvenance,
-    NormalSubgroupProvenance,
     _interned,
     _is_inner_system,
-    abstract_fusion,
     centralizer_in_S_of_subsystem,
     close_morphism_sets,
-    fusion_from_group,
     image_mask,
     induced_map,
     is_constrained,
-    locality_fusion,
     maps_from_partials,
     normal_ksets,
     quotient_mod_central,
     restrict_map,
-    subsystem_from_normal_subgroup,
 )
 from .groups import (
     FiniteGroup,
     Subgroup,
     bits,
     cores,
+    draws,
     o_p_prime_mask,
     p_part,
     popcount,
@@ -55,7 +47,6 @@ from .groups import (
 from .locality import (
     Locality,
     QuotientData,
-    draws,
     is_partial_normal,
     quotient,
     verify_locality,
@@ -136,7 +127,7 @@ CENSUBSYSTEM_IDS = ("subsystem-centralizer-match",)
 
 
 def fusion_wellformed_witness(F: FusionSystem) -> Optional[str]:
-    """Closure properties plus provenance regeneration; None when clean."""
+    """Closure properties plus regeneration from its inputs; None when clean."""
     base = F.base
     expected_keys = set(base.subgroups_of(F.carrier))
     if set(F.maps_from) != expected_keys:
@@ -189,19 +180,8 @@ def fusion_wellformed_witness(F: FusionSystem) -> Optional[str]:
 
 
 def regenerate(F: FusionSystem) -> Optional[FusionSystem]:
-    """Rebuild a fusion system from its provenance, if regenerable."""
-    prov = F.provenance
-    if isinstance(prov, (GroupProvenance, NormalSubgroupProvenance)):
-        G, real = prov.group, prov.s_real
-        ambient = fusion_from_group(G, Subgroup(G, real.mask), F.p)
-        if isinstance(prov, NormalSubgroupProvenance):
-            return subsystem_from_normal_subgroup(ambient, G, real, prov.n_mask).fusion
-        return ambient
-    if isinstance(prov, LocalityProvenance):
-        return locality_fusion(prov)
-    if isinstance(prov, AbstractProvenance):
-        return abstract_fusion(F.base, F.p, prov.generators, label=F.label)
-    return None
+    """F built again from the inputs it was first built from; None if unrecorded."""
+    return None if F.rebuild is None else F.rebuild()
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +938,7 @@ def run_censubsystem_checks(inst: Instance) -> list[CheckResult]:
                 t_mask_q |= 1 << i
         gens = LQ.conj_generators(sorted(nbar), t_mask_q)
         emaps = close_morphism_sets(qbase, t_mask_q, gens)
-        E_loc = _interned(qbase, t_mask_q, F.p, emaps, DerivedProvenance("partial-normal"), "E_loc")
+        E_loc = _interned(qbase, t_mask_q, F.p, emaps, None, "E_loc")
         FQ = LQ.fusion_system()
         cs_fusion = centralizer_in_S_of_subsystem(FQ, E_loc)
         # set-level centralizer of N-bar in S-bar
@@ -995,7 +975,7 @@ def mutate_fusion(F: FusionSystem, seed: int, count: int):
         maps = dict(F.maps_from)
         maps[P] = frozenset(x for x in maps[P] if x != m)
         mutated = FusionSystem(
-            F.base, F.carrier, F.p, maps, F.provenance, label=F.label + "*"
+            F.base, F.carrier, F.p, maps, F.rebuild, label=F.label + "*"
         )
         yield (
             f"drop morphism on {F.base.subgroup_label(P)}",

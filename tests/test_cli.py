@@ -24,7 +24,7 @@ from fusionloc.corpus import (
     build_instance,
     builtin_group,
 )
-from fusionloc.fusion import FusionSystem, GroupProvenance
+from fusionloc.fusion import FusionSystem, fusion_from_group
 from fusionloc.groups import FiniteGroup, RealizedSubgroup
 from fusionloc.locality import Locality, locality_to_json, transporter_to_json
 from fusionloc.verifier import CheckResult, run_instance_checks
@@ -108,6 +108,64 @@ def test_unwritable_output_is_an_input_error(tmp_path):
         assert proc.returncode == cli.EXIT_INPUT, (args, proc.stderr)
         assert proc.stderr.startswith("error: cannot write " + missing), (args, proc.stderr)
         assert proc.stderr.count("\n") == 1, (args, proc.stderr)
+
+
+def test_unwritable_output_fails_before_the_work(monkeypatch, capsys, tmp_path):
+    # the output paths are opened before the corpus or the group is touched
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the work ran before the output was opened")
+
+    monkeypatch.setattr(cli, "run_corpus", refuse)
+    monkeypatch.setattr(cli, "_load_instance", refuse)
+    missing = str(tmp_path / "missing" / "x")
+    (tmp_path / "d.transporter.dot").mkdir()
+    dot_prefix = str(tmp_path / "d")
+    for args, path in (
+        (["verify", "--json", missing], missing),
+        (["classify", "--builtin", "A5", "--prime", "2", "--out", missing], missing),
+        (["build", "--builtin", "A5", "--prime", "2", "--out", missing], missing + ".locality.json"),
+        (
+            ["build", "--builtin", "A5", "--prime", "2", "--export", "dot", "--out", dot_prefix],
+            dot_prefix + ".transporter.dot",
+        ),
+    ):
+        code, _, err = run_cli(capsys, args)
+        assert code == cli.EXIT_INPUT, args
+        assert err.startswith("error: cannot write " + path), (args, err)
+    # the locality file checked before the DOT file is not left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.transporter.dot"]
+
+
+def test_failed_command_leaves_its_outputs_as_they_were(capsys, tmp_path):
+    # the outputs pass the early check, then the input fails: a file the
+    # check created is gone and an existing one keeps its bytes
+    (tmp_path / "old.json").write_text("old")
+    for args in (
+        ["classify", "--file", str(tmp_path / "no-group.json"), "--prime", "2",
+         "--out", str(tmp_path / "c.json")],
+        ["classify", "--file", str(tmp_path / "no-group.json"), "--prime", "2",
+         "--out", str(tmp_path / "old.json")],
+        ["build", "--builtin", "S4", "--prime", "2", "--quotient-theta",
+         "--export", "dot", "--out", str(tmp_path / "b")],
+        ["verify", "--subsystems", str(tmp_path / "no-subs.json"),
+         "--json", str(tmp_path / "r.json")],
+    ):
+        code, _, err = run_cli(capsys, args)
+        assert code == cli.EXIT_INPUT and err.startswith("error: "), (args, err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+    assert (tmp_path / "old.json").read_text() == "old"
+
+
+def test_non_utf8_input_file_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"name": "x"}')
+    for args, kind in (
+        (["classify", "--file", str(bad), "--prime", "2"], "group"),
+        (["verify", "--subsystems", str(bad)], "subsystem"),
+    ):
+        code, _, err = run_cli(capsys, args)
+        assert code == cli.EXIT_INPUT, args
+        assert err.startswith(f"error: cannot read {kind} file {bad}: "), err
 
 
 def test_classify_s4(capsys):
@@ -586,19 +644,19 @@ def counting(monkeypatch, name):
 
 
 def test_build_all_objects_builds_no_group_fusion_system(monkeypatch, capsys):
-    provenances = []
+    rebuilds = []
     init = FusionSystem.__init__
 
     def counted(F, *args, **kwargs):
         init(F, *args, **kwargs)
-        provenances.append(F.provenance)
+        rebuilds.append(F.rebuild)
 
     monkeypatch.setattr(FusionSystem, "__init__", counted)
     code = cli.main(["build", "--builtin", "S4", "--prime", "2", "--objects", "all"])
     capsys.readouterr()
     assert code == 0
-    assert provenances  # the locality's own fusion system is built
-    assert not any(isinstance(p, GroupProvenance) for p in provenances)
+    assert rebuilds  # the locality's own fusion system is built
+    assert not any(r.func is fusion_from_group for r in rebuilds if r is not None)
 
 
 def test_classify_derives_delta_once_and_no_theta(monkeypatch, capsys):
@@ -614,7 +672,7 @@ def test_instance_derives_each_fact_once():
     inst = build_instance(CorpusEntry("SL23", 3))
     assert inst.theta.deltas is inst.deltas
     assert inst.deltas.fusion is inst.fusion
-    assert inst.fusion.provenance.s_real is inst.s_real
+    assert inst.fusion.rebuild.args == (inst.group, inst.sylow, inst.prime)
 
 
 def test_object_sets_and_localities_on_s4(capsys):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
 import fusionloc.fusion as fu
-from fusionloc.corpus import CorpusEntry, build_instance, builtin_group
+from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
 from fusionloc.errors import NotCentral, NotFullyKNormalized, NotSaturated, NotSylow
 from fusionloc.fusion import (
     abstract_fusion,
@@ -267,9 +268,9 @@ def test_subsystem_from_normal_subgroup(corpus):
     G = inst.group
     a4 = next(m for m in G.normal_subgroup_masks() if popcount(m) == 12)
     sub = subsystem_from_normal_subgroup(F, G, inst.s_real, a4)
-    assert popcount(sub.t_mask) == 4
+    assert popcount(sub.fusion.carrier) == 4
     assert sub.embedding_ok
-    assert len(sub.fusion.auts(sub.t_mask)) == 3
+    assert len(sub.fusion.auts(sub.fusion.carrier)) == 3
     # E = F itself for N = G, interned as one object
     subF = subsystem_from_normal_subgroup(F, G, inst.s_real, G.full_mask)
     assert subF.fusion is F
@@ -279,7 +280,7 @@ def test_subsystem_from_normal_subgroup(corpus):
         m for m in instA.group.normal_subgroup_masks() if popcount(m) == 60
     )
     subA = subsystem_from_normal_subgroup(instA.fusion, instA.group, instA.s_real, a5)
-    assert popcount(subA.t_mask) == 4
+    assert popcount(subA.fusion.carrier) == 4
     assert subA.fusion.is_saturated()
 
 
@@ -411,6 +412,27 @@ def test_k_normalizers_interned_per_base(name):
         assert not k_normalizers_of(base)
     finally:
         gc.enable()
+
+
+def test_fusion_freed_after_normal_subsystems_without_collector():
+    # every F_T(N) is interned before F's classification, which then caches
+    # those equal to a K-normalizer in F's local subsystems; a rebuild of
+    # F_T(N) that held F would close a cycle F -> F_T(N) -> rebuild -> F
+    unfreed = []
+    for entry in DEFAULT_CORPUS:
+        gc.collect()
+        gc.disable()
+        try:
+            inst = build_instance(entry)
+            inst.normal_subsystems
+            inst.fusion.classification_table()
+            ref = weakref.ref(inst.fusion)
+            del inst
+            if ref() is not None:
+                unfreed.append(f"{entry.name}@p{entry.prime}")
+        finally:
+            gc.enable()
+    assert unfreed == []
 
 
 def ref_conj_fusion_maps(L, ids, carrier):

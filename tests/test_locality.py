@@ -22,15 +22,16 @@ from fusionloc.errors import (
     VerificationFailed,
 )
 from fusionloc.fusion import (
-    LocalityProvenance,
     conjugation_partials,
     full_aut_kset,
     fusion_from_group,
     image_mask,
+    locality_fusion,
 )
 from fusionloc.groups import (
     bits,
     cores,
+    draws,
     group_from_permutations,
     perm_from_cycles,
     popcount,
@@ -39,7 +40,6 @@ from fusionloc.groups import (
 )
 from fusionloc.locality import (
     Locality,
-    draws,
     is_partial_normal,
     _validate_gamma,
     k_normalizer_locality,
@@ -244,7 +244,7 @@ def test_locality_freed_without_collector():
         assert ref() is None
     finally:
         gc.enable()
-    assert isinstance(F.provenance, LocalityProvenance)
+    assert F.rebuild.func is locality_fusion
     assert regenerate(F).maps_from == F.maps_from
 
 
@@ -764,6 +764,18 @@ def test_draws_equal_randrange():
     letters = draws(fast, 56)
     assert [next(letters) for _ in range(50_000)] == [slow.randrange(56) for _ in range(50_000)]
     assert fast.getstate() == slow.getstate()
+    # the pair and triple forms of FiniteGroup's table checks draw each tuple
+    # left to right, as a tuple of randrange calls does
+    for n in (1, 2, 3, 5, 7, 8, 24, 60, 100, 120, 720, 5040):
+        fast, slow = random.Random(n), random.Random(n)
+        letters = draws(fast, n)
+        assert list(islice(zip(letters, letters), 400)) == [
+            (slow.randrange(n), slow.randrange(n)) for _ in range(400)
+        ]
+        assert list(islice(zip(letters, letters, letters), 200)) == [
+            (slow.randrange(n), slow.randrange(n), slow.randrange(n)) for _ in range(200)
+        ]
+        assert fast.getstate() == slow.getstate(), n
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,20 @@ from pathlib import Path
 
 import pytest
 
-from fusionloc import cli, constructions, fusion, groups
+from fusionloc import cli, constructions, fusion, groups, verifier
 from fusionloc.constructions import nontrivial, theta_quotient
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
-from fusionloc.fusion import FusionSystem, abstract_fusion, subsystem_from_normal_subgroup
-from fusionloc.groups import p_part, popcount
+from fusionloc.fusion import (
+    FusionSystem,
+    abstract_fusion,
+    close_morphism_sets,
+    quotient_mod_central,
+    subsystem_from_normal_subgroup,
+)
+from fusionloc.groups import draws, p_part, popcount
 from fusionloc.locality import (
     AxiomCheck,
     LocalityAxiomReport,
-    draws,
     locality_from_group,
     verify_locality,
 )
@@ -37,6 +42,7 @@ from fusionloc.verifier import (
     mutate_locality,
     mutation_detected_fusion,
     mutation_detected_locality,
+    run_censubsystem_checks,
     run_corpus,
     run_fusion_checks,
     run_instance_checks,
@@ -83,7 +89,7 @@ def test_broken_fusion_detected(corpus):
     victim = next(m for m in sorted(F.maps_from[P]) if m != F.base.mask_elements(P))
     maps = dict(F.maps_from)
     maps[P] = frozenset(x for x in maps[P] if x != victim)
-    broken = FusionSystem(F.base, F.carrier, F.p, maps, F.provenance, label="broken")
+    broken = FusionSystem(F.base, F.carrier, F.p, maps, F.rebuild, label="broken")
     assert fusion_wellformed_witness(broken) is not None
     res = run_fusion_checks(broken, "broken")
     fails = [r for r in res if r.status == "fail"]
@@ -105,7 +111,7 @@ def test_mutation_sensitivity_sample(corpus):
     for name, prime in (("S4", 2), ("A5", 2), ("SL23", 2)):
         inst = build_instance(CorpusEntry(name, prime))
         FL = inst.locality("all").fusion_system()
-        assert isinstance(FL.provenance, fusion.LocalityProvenance)
+        assert FL.rebuild.func is fusion.locality_fusion
         F = inst.fusion
         n_mask = min(
             (
@@ -126,6 +132,46 @@ def test_mutation_sensitivity_sample(corpus):
             assert fusion_wellformed_witness(E) is None, E.label
             for desc, mutated in mutate_fusion(E, seed=99, count=10):
                 assert mutation_detected_fusion(mutated), (E.label, desc)
+
+
+def test_regeneration_catches_a_closed_wrong_system(monkeypatch):
+    # the inner fusion system of a carrier passes every closure clause at
+    # S4@p2; given the rebuild of each kind, regeneration alone tells it apart
+    first_l = build_instance(CorpusEntry("S4", 2))
+    FL = first_l.locality("all").fusion_system()  # F_S(L) before F_S(G)
+    inst = build_instance(CorpusEntry("S4", 2))
+    F, G = inst.fusion, inst.group
+    a4 = next(m for m in G.normal_subgroup_masks() if popcount(m) == 12)
+    generators = [(P, m) for P in sorted(F.maps_from) for m in sorted(F.maps_from[P])]
+    donors = (
+        (fusion.fusion_from_group, F),
+        (fusion.locality_fusion, FL),
+        (fusion._normal_subgroup_fusion, inst.normal_subsystems[a4].fusion),
+        (fusion.abstract_fusion, abstract_fusion(F.base, 2, generators)),
+    )
+    for func, donor in donors:
+        assert donor.rebuild.func is func
+        base, carrier = donor.base, donor.carrier
+        maps = close_morphism_sets(base, carrier, [])
+        inner = FusionSystem(base, carrier, 2, maps, donor.rebuild, label="inner")
+        assert fusion_wellformed_witness(inner) == (
+            "regeneration mismatch at subgroup <(1 3)(2 4)> (order 2)"
+        ), func.__name__
+
+    # K-normalizers, central quotients and E_loc record no inputs to rebuild from
+    zd8 = F.base.centralizer_mask(F.base.full_mask)
+    assert F.normalizer_subsystem(zd8).rebuild is None
+    d8 = build_instance(CorpusEntry("D8", 2)).fusion
+    assert quotient_mod_central(d8, d8.center_mask()).quotient.rebuild is None
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return fusion._interned(*args)
+
+    monkeypatch.setattr(verifier, "_interned", recording)
+    run_censubsystem_checks(inst)
+    assert calls and all(label == "E_loc" and rebuild is None for *_, rebuild, label in calls)
 
 
 def rebuilt_stage_rows(inst):
