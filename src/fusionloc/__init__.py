@@ -15,7 +15,6 @@ from .errors import (
     NotSaturated,
     NotSylow,
     NotSylowInN,
-    ObjectSetMismatch,
     OrderBoundExceeded,
     ParseError,
     VerificationFailed,
@@ -54,7 +53,6 @@ from .locality import (
     QuotientData,
     TransporterCategory,
     is_partial_normal,
-    k_normalizer_locality,
     locality_from_group,
     quotient,
     restriction,

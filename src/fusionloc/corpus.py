@@ -85,16 +85,23 @@ OBJECT_KINDS = ("all", "delta", "delta-star", "centric", "subcentric")
 
 @dataclass
 class Instance:
-    """A group G at a prime p and the facts derived from them: the Sylow
-    subgroup S, realized, F_S(G), Delta/Delta*, the Theta quotient and the
-    subsystems F_T(N) of the normal subgroups N of G.  Each is computed once,
-    when first read, and so is the locality of each distinct object set."""
+    """A group G at a prime p dividing |G| (else ``CorpusLoadError``) and the
+    facts derived from them: the Sylow subgroup S, realized, F_S(G),
+    Delta/Delta*, the Theta quotient and the subsystems F_T(N) of the normal
+    subgroups N of G.  Each is computed once, when first read, and so is the
+    locality of each distinct object set."""
 
     entry: CorpusEntry
     group: FiniteGroup
     _localities: dict[frozenset[int], Locality] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if p_part(self.group.order, self.prime) == 1:
+            raise CorpusLoadError(
+                f"{self.prime} does not divide |{self.entry.name}| = {self.group.order}"
+            )
 
     @property
     def prime(self) -> int:
@@ -155,9 +162,4 @@ class Instance:
 
 
 def build_instance(entry: CorpusEntry) -> Instance:
-    group = builtin_group(entry.name)
-    if p_part(group.order, entry.prime) == 1:
-        raise CorpusLoadError(
-            f"{entry.prime} does not divide |{entry.name}| = {group.order}"
-        )
-    return Instance(entry, group)
+    return Instance(entry, builtin_group(entry.name))

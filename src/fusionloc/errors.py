@@ -61,10 +61,6 @@ class NotClosed(FusionlocError):
     """Object set is not closed under conjugation and overgroups."""
 
 
-class ObjectSetMismatch(FusionlocError):
-    """Supplied object set does not match the required collection."""
-
-
 class VerificationFailed(FusionlocError):
     """An internal structural assertion failed; carries a witness."""
 

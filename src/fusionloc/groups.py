@@ -694,9 +694,6 @@ class Subgroup:
     def order(self) -> int:
         return popcount(self.mask)
 
-    def elements(self) -> tuple[int, ...]:
-        return self.group.mask_elements(self.mask)
-
     def __contains__(self, x: int) -> bool:
         return bool((self.mask >> x) & 1)
 
@@ -994,8 +991,6 @@ def cores(H: FiniteGroup, p: int) -> GroupPredicateReport:
 class QuotientGroup:
     """A quotient group with its projection map (element index -> index)."""
 
-    source: FiniteGroup
-    kernel: Subgroup
     group: FiniteGroup
     projection: tuple[int, ...]
 
@@ -1026,4 +1021,4 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     names = tuple("[" + G.element_label(r) + "]" for r in reps)
     Q = FiniteGroup(table, label=f"{G.label}/{N.label()}", element_names=names)
     proj = tuple(coset_of[x] for x in range(G.order))
-    return QuotientGroup(source=G, kernel=N, group=Q, projection=proj)
+    return QuotientGroup(group=Q, projection=proj)

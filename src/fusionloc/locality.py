@@ -21,16 +21,14 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     NotAnObject,
     NotClosed,
-    NotFullyKNormalized,
     NotInDomain,
     NotPartialNormal,
     NotSylow,
-    ObjectSetMismatch,
     VerificationFailed,
 )
 from .fusion import (
@@ -703,7 +701,6 @@ def _try_close_total(L: Locality, start: set[int], cap: int) -> Optional[set[int
 class QuotientData:
     source: Locality
     normal_subgroup: frozenset[int]  # carrier ids of ``source``
-    cosets: tuple[frozenset[int], ...]
     quotient: Locality
     projection: tuple[int, ...]
     # S -> S-bar on s_group indices: s_index[i] indexes the image of s_ids[i]
@@ -837,7 +834,6 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
     return QuotientData(
         source=L,
         normal_subgroup=mem,
-        cosets=tuple(maximal),
         quotient=quot,
         projection=proj,
         s_index=s_index,
@@ -845,24 +841,21 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
 
 
 # ---------------------------------------------------------------------------
-# restrictions and K-normalizer localities
+# restrictions
 
 
-def _sub_locality(
-    L: Locality,
-    t_mask: int,
-    gamma: frozenset[int],
-    label: str,
-    admits: Callable[[int], bool],
-) -> tuple[Locality, tuple[int, ...]]:
-    """The sub-locality on the admitted f in L with S_f cap T in Gamma, and its carrier.
+def restriction(L: Locality, delta_sub: Iterable[int]) -> Locality:
+    """The restriction of L to a smaller object set Gamma, over L's own S.
 
-    Products and conjugation entries are kept on the words w with S_w cap T in
-    Gamma; T becomes the S-group (for T = S, L's own).
+    Its carrier is the f with S_f in Gamma; products and conjugation entries
+    are kept on the words w with S_w in Gamma.
     """
-    carrier = tuple(
-        f for f in range(L.size) if admits(f) and (L.s_of(f) & t_mask) in gamma
-    )
+    gamma = frozenset(delta_sub)
+    if not gamma <= L.delta:
+        raise NotClosed("object set not contained in Delta")
+    _validate_gamma(L.s_group, gamma, L._s_of, L.conj_s)
+    label = f"{L.label}|restricted"
+    carrier = tuple(f for f in range(L.size) if L.s_of(f) in gamma)
     pos = {f: i for i, f in enumerate(carrier)}
     rows = []
     for fa in carrier:
@@ -870,99 +863,36 @@ def _sub_locality(
         row = array("i", [-1]) * len(carrier)
         for ib, fb in enumerate(carrier):
             ab = src[fb]
-            if ab >= 0 and (L.preimage(fa, L.s_of(fb)) & t_mask) in gamma:
+            if ab >= 0 and L.preimage(fa, L.s_of(fb)) in gamma:
                 target = pos.get(ab)
                 if target is None:
                     raise VerificationFailed(f"restricted product leaves {label}")
                 row[ib] = target
         rows.append(row)
-
-    if t_mask == L.s_group.full_mask:
-        s_group, t_index = L.s_group, {i: i for i in range(len(L.s_ids))}
-    else:
-        t_real = L.s_group.as_group(t_mask)
-        s_group, t_index = t_real.group, t_real.index_of
-    conj_s = []
-    for f in carrier:
-        cmap = {}
-        for i, ti in t_index.items():
-            j = L.conj_s[f].get(i)
-            if j is None or j not in t_index:
-                continue
-            word_mask = L.s_of_word((L.inv[f], L.s_ids[i], f))
-            if (word_mask & t_mask) in gamma:
-                cmap[ti] = t_index[j]
-        conj_s.append(cmap)
-    out = Locality(
+    conj_s = tuple(
+        {
+            i: j
+            for i, j in sorted(L.conj_s[f].items())
+            if L.s_of_word((L.inv[f], L.s_ids[i], f)) in gamma
+        }
+        for f in carrier
+    )
+    return Locality(
         size=len(carrier),
         inv=tuple(pos[L.inv[f]] for f in carrier),
         rows=rows,
-        s_ids=tuple(pos[L.s_ids[i]] for i in t_index),
-        s_group=s_group,
-        delta=frozenset(translate_mask(P, t_index) for P in gamma),
+        s_ids=tuple(pos[x] for x in L.s_ids),
+        s_group=L.s_group,
+        delta=gamma,
         p=L.p,
         label=label,
         elt_names=tuple(L.element_label(f) for f in carrier),
-        conj_s=tuple(conj_s),
+        conj_s=conj_s,
         source_group=L.source_group,
         source_ids=tuple(L.source_ids[f] for f in carrier)
         if L.source_ids is not None
         else None,
     )
-    return out, carrier
-
-
-def restriction(L: Locality, delta_sub: Iterable[int]) -> Locality:
-    """The restriction of L to a smaller object set."""
-    sub = frozenset(delta_sub)
-    if not sub <= L.delta:
-        raise NotClosed("object set not contained in Delta")
-    _validate_gamma(L.s_group, sub, L._s_of, L.conj_s)
-    label = f"{L.label}|restricted"
-    return _sub_locality(L, L.s_group.full_mask, sub, label, lambda f: True)[0]
-
-
-def k_normalizer_locality(
-    L: Locality,
-    q_mask: int,
-    kset: frozenset,
-    gamma: Iterable[int],
-) -> tuple[Locality, tuple[int, ...]]:
-    """The locality N_L^K(Q)|_Gamma plus the inclusion into L.
-
-    ``gamma`` is given as masks over L's S-group, each a subgroup of
-    N_S^K(Q); the returned locality's own S-group is N_S^K(Q) realized as a
-    group, with objects translated into its coordinates.
-    """
-    F = L.fusion_system()
-    if not F.is_fully_k_normalized(q_mask, kset):
-        raise NotFullyKNormalized(L.s_group.subgroup_label(q_mask))
-    t_mask = F.k_normalizer_mask(q_mask, kset)
-    gamma = frozenset(gamma)
-    if not gamma:
-        raise ObjectSetMismatch("empty object set")
-    t_subgroups = set(L.s_group.subgroups_of(t_mask))
-    for P in gamma:
-        if P not in t_subgroups:
-            raise ObjectSetMismatch("object not a subgroup of N_S^K(Q)")
-        for R in t_subgroups:
-            if P & R == P and R not in gamma:
-                raise ObjectSetMismatch("object set not closed under overgroups")
-        PQ = L.s_group.closure_mask(P | q_mask)
-        if PQ not in L.delta:
-            raise ObjectSetMismatch(
-                f"PQ not an object of L: {L.s_group.subgroup_label(PQ)}"
-            )
-
-    def in_carrier(f: int) -> bool:
-        if L.conj_mask(q_mask, f) != q_mask:
-            return False
-        # c_f restricted to Q, as an automorphism tuple in s-index coordinates
-        tup = tuple(L.conj_s[f][i] for i in bits(q_mask))
-        return tup in kset
-
-    label = f"N^K_{L.label}({L.s_group.subgroup_label(q_mask)})"
-    return _sub_locality(L, t_mask, gamma, label, in_carrier)
 
 
 # ---------------------------------------------------------------------------

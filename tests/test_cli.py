@@ -24,6 +24,7 @@ from fusionloc.corpus import (
     build_instance,
     builtin_group,
 )
+from fusionloc.errors import CorpusLoadError
 from fusionloc.fusion import FusionSystem, fusion_from_group
 from fusionloc.groups import FiniteGroup, RealizedSubgroup
 from fusionloc.locality import Locality, locality_to_json, transporter_to_json
@@ -55,7 +56,7 @@ def test_closed_stdout_exits_quietly(unbuffered):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
     for args in (
-        ["classify", "--builtin", "S3", "--prime", "5"],
+        ["classify", "--builtin", "S3", "--prime", "3"],
         ["build", "--builtin", "S4", "--prime", "2"],
         ["list-builtins"],
     ):
@@ -237,11 +238,26 @@ def test_build_theta_quotient(capsys):
 
 
 def test_build_degenerate_c1(capsys):
-    code, out, _ = run_cli(capsys, ["build", "--builtin", "C1", "--prime", "2"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["locality"]["carrier_size"] == 1
-    assert len(payload["locality"]["delta"]) == 1
+    # no prime divides |C1| = 1, so C1 is refused at every prime
+    code, out, err = run_cli(capsys, ["build", "--builtin", "C1", "--prime", "2"])
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err == "error: 2 does not divide |C1| = 1\n"
+
+
+def test_prime_not_dividing_the_order_is_an_input_error(capsys, tmp_path):
+    # Instance refuses p not dividing |G|, whichever way G arrives
+    group = tmp_path / "s3.json"
+    group.write_text(json.dumps({"name": "S3", "degree": 3, "generators": [[[1, 2, 3]], [[1, 2]]]}))
+    for args in (
+        ["classify", "--builtin", "S3", "--prime", "5"],
+        ["build", "--builtin", "S3", "--prime", "5"],
+        ["classify", "--file", str(group), "--prime", "5"],
+    ):
+        code, out, err = run_cli(capsys, args)
+        assert code == cli.EXIT_INPUT and out == "", args
+        assert err == "error: 5 does not divide |S3| = 6\n", (args, err)
+    with pytest.raises(CorpusLoadError, match="5 does not divide"):
+        Instance(CorpusEntry("A4", 5), builtin_group("A4"))
 
 
 def test_build_deterministic(capsys, tmp_path):
@@ -269,14 +285,14 @@ ODD_NAME = 'S3 "quoted" \\ back\nslash \u00e9\u00fc\u4e09 \U0001d53e'
 @pytest.mark.parametrize(
     "args",
     [
-        ["--builtin", "C1", "--prime", "2"],
+        ["--builtin", "C2", "--prime", "2"],
         ["--builtin", "S4", "--prime", "2", "--export", "json"],
         ["--builtin", "A5", "--prime", "2", "--export", "dot"],
         ["--builtin", "S4", "--prime", "2", "--objects", "delta-star", "--quotient-theta"],
         ["--file", "ODD", "--prime", "2", "--export", "json"],
         ["--builtin", "S3", "--prime", "3", "--export", "json", "--fail"],
     ],
-    ids=["C1", "S4-json", "A5-dot", "S4-theta", "odd-name", "failing"],
+    ids=["C2", "S4-json", "A5-dot", "S4-theta", "odd-name", "failing"],
 )
 def test_build_writer_matches_dumps_oracle(capsys, tmp_path, monkeypatch, args):
     # the streamed JSON of build equals json.dumps of the payload built from
@@ -695,7 +711,7 @@ def test_object_sets_and_localities_on_s4(capsys):
     assert inst.locality("delta") is td.locality
 
 
-@pytest.mark.parametrize("name, prime", [("S4", 2), ("C2xA5", 2), ("C1", 2)])
+@pytest.mark.parametrize("name, prime", [("S4", 2), ("C2xA5", 2), ("C2", 2)])
 def test_classify_writes_dumps_bytes(capsys, name, prime):
     assert cli.main(["classify", "--builtin", name, "--prime", str(prime)]) == 0
     out = capsys.readouterr().out

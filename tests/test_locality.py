@@ -12,18 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionloc.constructions import nontrivial
-from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
+from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance, builtin_group
 from fusionloc.errors import (
     NotAnObject,
     NotClosed,
     NotInDomain,
     NotPartialNormal,
-    ObjectSetMismatch,
     VerificationFailed,
 )
 from fusionloc.fusion import (
     conjugation_partials,
-    full_aut_kset,
     fusion_from_group,
     image_mask,
     locality_fusion,
@@ -42,7 +40,6 @@ from fusionloc.locality import (
     Locality,
     is_partial_normal,
     _validate_gamma,
-    k_normalizer_locality,
     locality_from_group,
     object_set_gap,
     quotient,
@@ -54,6 +51,7 @@ from fusionloc.locality import (
 )
 from fusionloc.verifier import mutate_locality, regenerate
 from test_groups import small_perm_groups
+from test_theory_facts import non_constrained_group
 
 
 def g_elem(G, cycles):
@@ -550,69 +548,35 @@ def test_restriction_inclusion_homomorphism(corpus):
             assert L.product(w) == Lr.product(w)
 
 
-def test_k_normalizer_locality(corpus):
-    inst = corpus.instance("S4", 2)
-    L = corpus.locality_all("S4", 2)
-    F = L.fusion_system()
-    base = L.s_group
-    zd8 = base.centralizer_mask(base.full_mask)
-    K = full_aut_kset(F, zd8)
-    NF = F.normalizer_subsystem(zd8)
-    tk = NF.classification_table()
-    gamma = frozenset(q for q in NF.subgroups() if q != 1 and tk[q].subcentric)
-    LK, incl = k_normalizer_locality(L, zd8, K, gamma)
-    assert LK.size == 8
-    assert verify_locality(LK).ok
-    assert LK.is_linking_locality()
-    # the inclusion respects products on domain words
-    import random
-
-    rng = random.Random(11)
-    for _ in range(200):
-        w = tuple(rng.randrange(LK.size) for _ in range(rng.randint(1, 3)))
-        if LK.word_in_domain(w):
-            lifted = tuple(incl[x] for x in w)
-            assert L.word_in_domain(lifted)
-            assert incl[LK.product(w)] == L.product(lifted)
-
-    # Q = 1 with the trivial automorphism set gives L back
-    L1, _ = k_normalizer_locality(L, 1, frozenset({(0,)}), L.delta)
-    assert L1.size == L.size
-
-    # Q = V normal: carrier is all of L
-    V = next(
-        m
-        for m in base.subgroup_masks()
-        if popcount(m) == 4
-        and inst.group.is_normal_mask(inst.s_real.mask_to_parent(m))
-    )
-    KV = full_aut_kset(F, V)
-    NV = F.normalizer_subsystem(V)
-    tv = NV.classification_table()
-    gammaV = frozenset(q for q in NV.subgroups() if q != 1 and tv[q].subcentric)
-    LV, _ = k_normalizer_locality(L, V, KV, gammaV)
-    assert LV.size == L.size
-
-    with pytest.raises(ObjectSetMismatch):
-        k_normalizer_locality(L, zd8, K, frozenset([min(gamma)]))
-
-
-@pytest.mark.parametrize("name", ["S4", "A5"])
-def test_k_normalizer_at_trivial_q_is_restriction(corpus, name):
-    # N_L^K(1) with K trivial lives over T = S and is the restriction to Gamma
-    L = corpus.locality_all(name, 2)
-    L1, incl = k_normalizer_locality(L, 1, frozenset({(0,)}), L.delta)
-    Lr = restriction(L, L.delta)
-    assert L1.s_group is L.s_group and Lr.s_group is L.s_group
-    assert incl == tuple(range(L.size))
-    for field in (
-        "size", "inv", "rows", "prod2", "s_ids", "delta", "p", "elt_names",
-        "source_group", "source_ids",
-    ):
-        assert getattr(L1, field) == getattr(Lr, field), field
-    assert [list(c.items()) for c in L1.conj_s] == [
-        list(c.items()) for c in Lr.conj_s
-    ]
+def test_restriction_equals_locality_built_from_g(corpus):
+    # restricting the all-objects locality to Gamma gives, field by field, the
+    # locality that locality_from_group builds from G on Gamma; C2xA5@p2 is
+    # the corpus instance whose carrier shrinks, and PSL(2,7)@p2 restricts a
+    # locality that is not a group
+    psl = Instance(CorpusEntry("PSL27", 2), non_constrained_group("PSL27"))
+    instances = [corpus.instance(e.name, e.prime) for e in DEFAULT_CORPUS] + [psl]
+    pairs = 0
+    for inst in instances:
+        L = inst.locality("all")
+        for kind in ("centric", "delta-star", "delta"):
+            gamma = inst.objects(kind)
+            if not gamma or not gamma <= L.delta:
+                continue
+            Lr, M = restriction(L, gamma), inst.locality(kind)
+            where = (inst.instance_id, kind)
+            for field in ("size", "inv", "rows", "s_ids", "delta", "source_ids"):
+                assert getattr(Lr, field) == getattr(M, field), (where, field)
+            assert [list(c.items()) for c in Lr.conj_s] == [
+                list(c.items()) for c in M.conj_s
+            ], where
+            assert [Lr.element_label(f) for f in range(Lr.size)] == [
+                M.element_label(f) for f in range(M.size)
+            ], where
+            assert Lr.s_group is L.s_group and Lr.label == f"{L.label}|restricted"
+            pairs += 1
+    assert pairs == 47
+    assert corpus.locality_all("C2xA5", 2).size == 120
+    assert corpus.instance("C2xA5", 2).locality("centric").size == 24
 
 
 def test_centralizer_group(corpus):
@@ -629,33 +593,6 @@ def test_centralizer_group(corpus):
     assert grp.order == 4  # V is self-centralizing in the ambient group
     with pytest.raises(NotAnObject):
         L.centralizer_group(1)
-
-
-def test_k_normalizer_with_proper_normal_k(corpus):
-    # K = the rotation subgroup of Aut_F(V), a proper normal subgroup: the
-    # resulting locality is the index-2 subgroup acting by rotations, and it
-    # is a linking locality since K is normal in the automorphism group
-    inst = corpus.instance("S4", 2)
-    L = corpus.locality_all("S4", 2)
-    F = L.fusion_system()
-    base = L.s_group
-    V = next(
-        m
-        for m in base.subgroup_masks()
-        if popcount(m) == 4
-        and inst.group.is_normal_mask(inst.s_real.mask_to_parent(m))
-    )
-    from fusionloc.fusion import normal_ksets
-
-    k3 = next(k for k in normal_ksets(F, V) if len(k) == 3)
-    NK = F.local_subsystem(V, k3)
-    assert NK.is_saturated()
-    tk = NK.classification_table()
-    gamma = frozenset(q for q in NK.subgroups() if q != 1 and tk[q].subcentric)
-    LK, incl = k_normalizer_locality(L, V, k3, gamma)
-    assert LK.size == 12
-    assert verify_locality(LK).ok
-    assert LK.is_linking_locality()
 
 
 def test_restriction_to_overgroups_of_v(corpus):

@@ -4,25 +4,45 @@ These are instance-level confirmations of the algebraic statements the
 machinery relies on: p'-core identities at local subgroups, central quotient
 equivalences for the characteristic-p condition, inheritance of
 constrainedness by subsystems, and agreement between local subsystems and the
-fusion systems of the corresponding local subgroups.
+fusion systems of the corresponding local subgroups.  It also runs the check
+matrix on non-constrained systems, the paper's main case, where the subcentric
+linking locality is not a group; no corpus instance is of this kind.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from fusionloc.corpus import builtin_group
-from fusionloc.fusion import is_constrained, subsystem_from_normal_subgroup
+from fusionloc.corpus import CorpusEntry, Instance, builtin_group
+from fusionloc.fusion import fusion_isomorphic, is_constrained, subsystem_from_normal_subgroup
 from fusionloc.groups import (
     Subgroup,
     bits,
     cores,
+    group_from_permutations,
     o_p_prime_mask,
     p_part,
     popcount,
     quotient_group,
     sylow_p,
 )
+from fusionloc.verifier import run_instance_checks
+
+# groups whose fusion systems at p = 2 are not constrained:
+# name -> (degree, generators as 1-based cycles)
+NON_CONSTRAINED = {
+    "PSL27": (7, [[[1, 2, 3, 4, 5, 6, 7]], [[1, 2], [3, 6]]]),
+    "A6": (6, [[[1, 2, 3]], [[1, 2, 3, 4, 5]], [[4, 5, 6]]]),
+    "A7": (7, [[[1, 2, 3]], [[1, 2, 3, 4, 5, 6, 7]]]),
+}
+
+
+def non_constrained_group(name):
+    degree, gens = NON_CONSTRAINED[name]
+    return group_from_permutations(degree, gens, label=name)
+
 
 CASES = (("S4", 2), ("A5", 2), ("SL23", 2), ("SL23", 3), ("C2xA5", 2), ("C2xS4", 2))
 
@@ -137,3 +157,34 @@ def test_local_subsystem_matches_local_subgroup_model(corpus):
             nreal = G.as_group(n_parent)
             assert cores(nreal.group, 2).is_char_p
             assert p_part(popcount(n_parent), 2) == popcount(ns_mask)
+
+
+@pytest.mark.parametrize(
+    "name, passed, skipped, delta_star_size, theta_size",
+    [("PSL27", 68, 6, 104, 1), ("A6", 68, 6, 104, 1), ("A7", 65, 24, 408, 7)],
+    ids=["PSL27", "A6", "A7"],
+)
+def test_non_constrained_system_passes_the_matrix(
+    name, passed, skipped, delta_star_size, theta_size
+):
+    inst = Instance(CorpusEntry(name, 2), non_constrained_group(name))
+    statuses = Counter(r.status for r in run_instance_checks(inst))
+    assert statuses == {"pass": passed, "skipped": skipped}
+    F, ds, td = inst.fusion, inst.deltas, inst.theta
+    # not constrained, so F has no model; 1 is not subcentric, and Delta* is F^s
+    assert not is_constrained(F)
+    assert 1 not in ds.subcentric
+    assert ds.delta_star == ds.subcentric and len(ds.delta_star) == 9
+    assert td.locality.size == delta_star_size and len(td.theta) == theta_size
+    assert (td.quotient_data is None) == (theta_size == 1)
+    # the Theta-quotient is a linking locality with a properly partial product
+    Q = td.quotient
+    assert Q.size == 104 and Q.size**2 - len(Q.prod2) == 5120
+    assert Q.is_linking_locality()
+
+
+def test_psl27_a6_a7_share_their_fusion_system_at_2():
+    F = Instance(CorpusEntry("PSL27", 2), non_constrained_group("PSL27")).fusion
+    for name in ("A6", "A7"):
+        other = Instance(CorpusEntry(name, 2), non_constrained_group(name)).fusion
+        assert fusion_isomorphic(F, other) is not None, name
