@@ -23,16 +23,12 @@ from .groups import (
     FiniteGroup,
     GroupPredicateReport,
     QuotientGroup,
-    Subgroup,
-    centralizer,
     cores,
     group_from_permutations,
     group_from_table,
     load_group_file,
     load_group_json,
-    normalizer,
     quotient_group,
-    sylow_p,
 )
 from .fusion import (
     Classification,

@@ -218,7 +218,7 @@ def _classification_report(inst: Instance) -> dict:
         "group": inst.group.label,
         "order": inst.group.order,
         "prime": inst.prime,
-        "sylow_order": inst.sylow.order,
+        "sylow_order": popcount(inst.sylow),
         "saturated": F.is_saturated(),
         "classes": classes_json,
         "subgroups": records,

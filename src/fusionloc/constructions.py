@@ -64,12 +64,7 @@ def delta_sets(F: FusionSystem, G: FiniteGroup, real: RealizedSubgroup) -> Delta
     delta = set()
     delta_star = set()
     for data in F.classes():
-        if data.representative == 1:
-            # the trivial subgroup: N_G(1) = G
-            rep = cores(G, p)
-            char_p, almost = rep.is_char_p, rep.is_almost_char_p
-        else:
-            char_p, almost = flags(data.representative)
+        char_p, almost = flags(data.representative)
         for P in data.members:
             if char_p:
                 delta.add(P)
@@ -99,8 +94,7 @@ def delta_sets(F: FusionSystem, G: FiniteGroup, real: RealizedSubgroup) -> Delta
 
 
 def nontrivial(masks) -> frozenset[int]:
-    out = frozenset(m for m in masks if m != 1)
-    return out if out else frozenset(masks)
+    return frozenset(masks) - {1}
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .constructions import DeltaSets, ThetaData, delta_sets, nontrivial, theta_quotient
-from .errors import CorpusLoadError, ParseError
+from .errors import CorpusLoadError, NotClosed, ParseError
 from .fusion import FusionSystem, Subsystem, fusion_from_group, subsystem_from_normal_subgroup
-from .groups import (
-    FiniteGroup,
-    RealizedSubgroup,
-    Subgroup,
-    group_from_permutations,
-    p_part,
-    sylow_p,
-)
+from .groups import FiniteGroup, RealizedSubgroup, group_from_permutations, p_part
 from .locality import Locality, locality_from_group
 
 # name -> (degree, generators as cycle lists)
@@ -112,12 +105,13 @@ class Instance:
         return f"{self.entry.name}@p{self.prime}"
 
     @cached_property
-    def sylow(self) -> Subgroup:
-        return sylow_p(self.group, self.prime)
+    def sylow(self) -> int:
+        """The mask of the canonical Sylow p-subgroup S of G."""
+        return self.group.sylow_mask(self.prime)
 
     @cached_property
     def s_real(self) -> RealizedSubgroup:
-        return self.group.as_group(self.sylow.mask)
+        return self.group.as_group(self.sylow)
 
     @cached_property
     def fusion(self) -> FusionSystem:
@@ -151,8 +145,13 @@ class Instance:
         raise ParseError(f"unknown object set {kind!r}")
 
     def locality(self, kind: str) -> Locality:
-        """The locality of G on ``objects(kind)``, one per distinct object set."""
+        """The locality of G on ``objects(kind)``, one per distinct object set;
+        ``NotClosed`` when that set is empty (only Delta can be)."""
         gamma = self.objects(kind)
+        if not gamma:
+            raise NotClosed(
+                f"the {kind} object set of {self.instance_id} is empty, so it has no locality"
+            )
         L = self._localities.get(gamma)
         if L is None:
             L = self._localities[gamma] = locality_from_group(

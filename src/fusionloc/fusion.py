@@ -35,7 +35,6 @@ from .groups import (
     FiniteGroup,
     QuotientGroup,
     RealizedSubgroup,
-    Subgroup,
     bits,
     group_from_elements,
     o_p_mask,
@@ -739,17 +738,11 @@ def normal_ksets(F: FusionSystem, Q: int) -> tuple[frozenset, ...]:
 # constructors and operations
 
 
-def fusion_from_group(
-    G: FiniteGroup,
-    S: Subgroup,
-    p: int,
-) -> FusionSystem:
-    """The fusion system of G on its Sylow p-subgroup S."""
-    if S.group is not G:
-        raise NotSylow("S belongs to a different group")
-    if popcount(S.mask) != p_part(G.order, p):
-        raise NotSylow(f"{S.label()} is not a Sylow {p}-subgroup of {G.label}")
-    real = G.as_group(S.mask)
+def fusion_from_group(G: FiniteGroup, s_mask: int, p: int) -> FusionSystem:
+    """The fusion system of G on its Sylow p-subgroup ``s_mask``."""
+    if popcount(s_mask) != p_part(G.order, p):
+        raise NotSylow(f"{G.subgroup_label(s_mask)} is not a Sylow {p}-subgroup of {G.label}")
+    real = G.as_group(s_mask)
     base = real.group
     partials = conjugation_partials(G, real, range(G.order))
     return _interned(
@@ -757,8 +750,8 @@ def fusion_from_group(
         base.full_mask,
         p,
         maps_from_partials(base, base.full_mask, partials),
-        partial(fusion_from_group, G, S, p),
-        f"F_{S.label()}({G.label})",
+        partial(fusion_from_group, G, s_mask, p),
+        f"F_{G.subgroup_label(s_mask)}({G.label})",
     )
 
 
@@ -819,7 +812,7 @@ def quotient_mod_central(F: FusionSystem, Z: int) -> CentralQuotient:
     if Z & F.center_mask() != Z:
         raise NotCentral(F.base.subgroup_label(Z))
     base = F.base
-    qg = quotient_group(base, Subgroup(base, Z))
+    qg = quotient_group(base, Z)
     Sq = qg.group
     proj = qg.projection
     maps: dict[int, set] = {m: set() for m in Sq.subgroups_of(Sq.full_mask)}

@@ -679,34 +679,6 @@ class RealizedSubgroup:
         return translate_mask(mask, self.index_of)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of a FiniteGroup, stored as a bitmask of element indices."""
-
-    group: FiniteGroup
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not self.group.is_subgroup_mask(self.mask):
-            raise NotASubgroup("mask is not closed under multiplication")
-
-    @property
-    def order(self) -> int:
-        return popcount(self.mask)
-
-    def __contains__(self, x: int) -> bool:
-        return bool((self.mask >> x) & 1)
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.group is other.group and self.mask & other.mask == self.mask
-
-    def label(self) -> str:
-        return self.group.subgroup_label(self.mask)
-
-    def as_group(self) -> RealizedSubgroup:
-        return self.group.as_group(self.mask)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -879,37 +851,16 @@ def load_group_file(path: str) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# subgroup operations
-
-
-def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
-    """The canonical Sylow p-subgroup (trivial when p does not divide |G|)."""
-    return Subgroup(G, G.sylow_mask(p))
-
-
-def _require_subgroup(G: FiniteGroup, P: Subgroup) -> None:
-    if P.group is not G:
-        raise NotASubgroup("subgroup belongs to a different group")
-
-
-def normalizer(G: FiniteGroup, P: Subgroup) -> Subgroup:
-    _require_subgroup(G, P)
-    return Subgroup(G, G.normalizer_mask(P.mask))
-
-
-def centralizer(G: FiniteGroup, P: Subgroup) -> Subgroup:
-    _require_subgroup(G, P)
-    return Subgroup(G, G.centralizer_mask(P.mask))
+# p-cores and quotients
 
 
 @dataclass(frozen=True)
 class GroupPredicateReport:
-    """p-core data for a group: O_p, O_{p'}, and the characteristic-p flags."""
+    """p-core data for a group: the masks of O_p and O_{p'}, and the
+    characteristic-p flags."""
 
-    group: FiniteGroup
-    p: int
-    o_p: Subgroup
-    o_p_prime: Subgroup
+    o_p: int
+    o_p_prime: int
     is_char_p: bool
     is_almost_char_p: bool
 
@@ -976,12 +927,10 @@ def cores(H: FiniteGroup, p: int) -> GroupPredicateReport:
     if theta == 1:
         almost = char_p
     else:
-        almost = is_char_p_group(quotient_group(H, Subgroup(H, theta)).group, p)
+        almost = is_char_p_group(quotient_group(H, theta).group, p)
     return GroupPredicateReport(
-        group=H,
-        p=p,
-        o_p=Subgroup(H, op),
-        o_p_prime=Subgroup(H, theta),
+        o_p=op,
+        o_p_prime=theta,
         is_char_p=char_p,
         is_almost_char_p=almost,
     )
@@ -995,12 +944,12 @@ class QuotientGroup:
     projection: tuple[int, ...]
 
 
-def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
-    """Coset group G/N with induced multiplication; N must be normal."""
-    _require_subgroup(G, N)
-    if not G.is_normal_mask(N.mask):
-        raise NotNormal(f"{N.label()} is not normal in {G.label}")
-    nelems = G.mask_elements(N.mask)
+def quotient_group(G: FiniteGroup, n_mask: int) -> QuotientGroup:
+    """Coset group G/N with induced multiplication; the subgroup ``n_mask``
+    must be normal."""
+    if not G.is_normal_mask(n_mask):
+        raise NotNormal(f"{G.subgroup_label(n_mask)} is not normal in {G.label}")
+    nelems = G.mask_elements(n_mask)
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for x in range(G.order):
@@ -1019,6 +968,6 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
                 if coset_of[G.mul(x, y)] != table[coset_of[x]][coset_of[y]]:
                     raise NotNormal("quotient multiplication ill-defined")
     names = tuple("[" + G.element_label(r) + "]" for r in reps)
-    Q = FiniteGroup(table, label=f"{G.label}/{N.label()}", element_names=names)
+    Q = FiniteGroup(table, label=f"{G.label}/{G.subgroup_label(n_mask)}", element_names=names)
     proj = tuple(coset_of[x] for x in range(G.order))
     return QuotientGroup(group=Q, projection=proj)

@@ -41,7 +41,6 @@ from .fusion import (
 from .groups import (
     FiniteGroup,
     RealizedSubgroup,
-    Subgroup,
     bits,
     cores,
     draws,
@@ -409,17 +408,16 @@ def _validate_gamma(
 
 def locality_from_group(
     G: FiniteGroup,
-    S: Subgroup,
+    s_mask: int,
     gamma: Iterable[int],
     p: int,
     s_real: Optional[RealizedSubgroup] = None,
 ) -> Locality:
-    """The locality on {g : S cap S^g in Gamma} with the restricted product."""
-    if S.group is not G:
-        raise NotSylow("S belongs to a different group")
-    if popcount(S.mask) != p_part(G.order, p):
-        raise NotSylow(f"{S.label()} is not Sylow in {G.label}")
-    real = s_real if s_real is not None else G.as_group(S.mask)
+    """The locality on {g : S cap S^g in Gamma} with the restricted product,
+    S the Sylow p-subgroup ``s_mask`` of G."""
+    if popcount(s_mask) != p_part(G.order, p):
+        raise NotSylow(f"{G.subgroup_label(s_mask)} is not Sylow in {G.label}")
+    real = s_real if s_real is not None else G.as_group(s_mask)
     base = real.group
     gamma = frozenset(gamma)
 

@@ -34,7 +34,6 @@ from .fusion import (
 )
 from .groups import (
     FiniteGroup,
-    Subgroup,
     bits,
     cores,
     draws,
@@ -542,10 +541,10 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
         zreal = G.as_group(G.center_mask())
         for Zsub in zreal.group.subgroup_masks():
             Z = zreal.mask_to_parent(Zsub)
-            if Z & rep_g.o_p.mask != Z:
+            if Z & rep_g.o_p != Z:
                 bad = f"central {G.subgroup_label(Z)} not inside O_p"
                 break
-            q = quotient_group(G, Subgroup(G, Z))
+            q = quotient_group(G, Z)
             if not cores(q.group, p).is_char_p:
                 bad = f"quotient by {G.subgroup_label(Z)} not characteristic p"
                 break

@@ -244,6 +244,15 @@ def test_build_degenerate_c1(capsys):
     assert err == "error: 2 does not divide |C1| = 1\n"
 
 
+def test_empty_delta_is_an_input_error_naming_the_instance(capsys):
+    # Delta of SL(2,3) at 3 is empty: the input is valid but has no locality
+    code, out, err = run_cli(
+        capsys, ["build", "--builtin", "SL23", "--prime", "3", "--objects", "delta"]
+    )
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and "SL23@p3" in err and "delta" in err, err
+
+
 def test_prime_not_dividing_the_order_is_an_input_error(capsys, tmp_path):
     # Instance refuses p not dividing |G|, whichever way G arrives
     group = tmp_path / "s3.json"

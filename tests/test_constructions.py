@@ -22,7 +22,6 @@ from fusionloc.groups import (
     is_prime,
     p_part,
     popcount,
-    sylow_p,
 )
 from fusionloc.locality import locality_from_group, verify_locality
 from fusionloc.verifier import run_group_checks
@@ -111,9 +110,9 @@ def ref_is_characteristic_p_type(G, S, p) -> bool:
     One cores(N_G(P)) per G-class of nontrivial subgroups of S, independent of
     the fusion classes and of Delta.
     """
-    if popcount(S.mask) != p_part(G.order, p):
-        raise NotSylow(f"{S.label()} is not Sylow in {G.label}")
-    real = G.as_group(S.mask)
+    if popcount(S) != p_part(G.order, p):
+        raise NotSylow(f"{G.subgroup_label(S)} is not Sylow in {G.label}")
+    real = G.as_group(S)
     base = real.group
     seen_classes = set()
     for mask in base.subgroup_masks():
@@ -133,7 +132,7 @@ def ref_is_characteristic_p_type(G, S, p) -> bool:
 def ref_first_class_masks(G, S) -> list[int]:
     """The least mask of each G-class of nontrivial subgroups of S, in the
     order an ascending walk over the subgroups of S first meets them."""
-    real = G.as_group(S.mask)
+    real = G.as_group(S)
     seen, out = set(), []
     for mask in real.group.subgroup_masks():
         canon = G.canonical_conjugate(real.mask_to_parent(mask))
@@ -147,13 +146,13 @@ def group_prime_pairs(G):
     """(S, p) for each prime p dividing |G|."""
     for p in range(2, G.order + 1):
         if G.order % p == 0 and is_prime(p):
-            yield sylow_p(G, p), p
+            yield G.sylow_mask(p), p
 
 
 def assert_cpt_matches_class_walk(G):
     for S, p in group_prime_pairs(G):
         ref = ref_is_characteristic_p_type(G, S, p)
-        ds = delta_sets(fusion_from_group(G, S, p), G, G.as_group(S.mask))
+        ds = delta_sets(fusion_from_group(G, S, p), G, G.as_group(S))
         assert ds.characteristic_p_type == ref, (G.label, p)
 
 
@@ -252,8 +251,8 @@ def test_example_char_p_type_end_to_end(corpus):
 
 def test_locality_from_group_not_closed():
     G = builtin_group("S4")
-    S = sylow_p(G, 2)
-    real = G.as_group(S.mask)
+    S = G.sylow_mask(2)
+    real = G.as_group(S)
     smallest = min(m for m in real.group.subgroup_masks() if m != 1)
     with pytest.raises(NotClosed):
         locality_from_group(G, S, frozenset([smallest]), 2, s_real=real)

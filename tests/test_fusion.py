@@ -9,7 +9,7 @@ import pytest
 
 import fusionloc.fusion as fu
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
-from fusionloc.errors import NotCentral, NotFullyKNormalized, NotSaturated, NotSylow
+from fusionloc.errors import NotASubgroup, NotCentral, NotFullyKNormalized, NotSaturated, NotSylow
 from fusionloc.fusion import (
     abstract_fusion,
     centralizer_in_S_of_subsystem,
@@ -24,14 +24,13 @@ from fusionloc.fusion import (
     trivial_kset,
 )
 from fusionloc.groups import (
-    Subgroup,
     bits,
     perm_from_cycles,
     popcount,
     quotient_group,
-    sylow_p,
     translate_mask,
 )
+from fusionloc.locality import locality_from_group
 from fusionloc.verifier import run_fusion_checks
 
 
@@ -77,7 +76,27 @@ def test_not_sylow_rejected():
     S4 = builtin_group("S4")
     V = next(m for m in S4.normal_subgroup_masks() if popcount(m) == 4)
     with pytest.raises(NotSylow):
-        fusion_from_group(S4, Subgroup(S4, V), 2)
+        fusion_from_group(S4, V, 2)
+    t = next(g for g in range(24) if S4.perm_rep[1][g] == perm_from_cycles([[1, 2, 3, 4]], 4))
+    with pytest.raises(NotSylow) as exc:
+        fusion_from_group(S4, S4.closure_mask(1 << t), 2)
+    assert str(exc.value) == "<(1 2 3 4)> is not a Sylow 2-subgroup of S4"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda G, m: fusion_from_group(G, m, 2),
+        lambda G, m: locality_from_group(G, m, (), 2),
+        quotient_group,
+    ],
+    ids=["fusion_from_group", "locality_from_group", "quotient_group"],
+)
+def test_mask_that_is_not_a_subgroup_is_refused(build):
+    # elements 0..7 of S4: of Sylow 2-order, but not closed under products
+    S4 = builtin_group("S4")
+    with pytest.raises(NotASubgroup, match="^mask 255 is not a subgroup of S4$"):
+        build(S4, (1 << 8) - 1)
 
 
 def test_klein_class_structure_s4(corpus):
@@ -504,7 +523,7 @@ def test_induced_map_matches_reference(corpus):
     # an automorphism of V4 that moves the kernel of the projection
     V4 = builtin_group("V4")
     a, b = 1, 2
-    qv = quotient_group(V4, Subgroup(V4, 1 | 1 << a))
+    qv = quotient_group(V4, 1 | 1 << a)
     swap = {0: 0, a: b, b: a, V4.mul(a, b): V4.mul(a, b)}
     images = tuple(swap[x] for x in V4.mask_elements(V4.full_mask))
     args = (V4, qv.group, qv.projection, V4.full_mask, images)

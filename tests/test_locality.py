@@ -33,7 +33,6 @@ from fusionloc.groups import (
     group_from_permutations,
     perm_from_cycles,
     popcount,
-    sylow_p,
     translate_mask,
 )
 from fusionloc.locality import (
@@ -133,8 +132,8 @@ def test_partial_product_matches_reference():
     # S5 at p = 2 on all nontrivial objects: 56 elements, and about half of
     # the pairs lie outside the domain, unlike on every corpus instance
     G = group_from_permutations(5, [[[1, 2, 3, 4, 5]], [[1, 2]]])
-    S = sylow_p(G, 2)
-    real = G.as_group(S.mask)
+    S = G.sylow_mask(2)
+    real = G.as_group(S)
     gamma = nontrivial(frozenset(real.group.subgroup_masks()))
     L = locality_from_group(G, S, gamma, 2, s_real=real)
     assert L.size == 56 and len(L.prod2) == 1600
@@ -150,8 +149,8 @@ def test_locality_from_group_matches_reference_random(data):
     for prime in range(2, G.order + 1):
         if G.order % prime or any(prime % r == 0 for r in range(2, prime)):
             continue
-        S = sylow_p(G, prime)
-        real = G.as_group(S.mask)
+        S = G.sylow_mask(prime)
+        real = G.as_group(S)
         gamma = nontrivial(frozenset(real.group.subgroup_masks()))
         L = locality_from_group(G, S, gamma, prime, s_real=real)
         assert_matches_reference(L, G, real, gamma)
@@ -200,8 +199,8 @@ def test_s_of_word_matches_reference_random(data, raw_words):
     for prime in range(2, G.order + 1):
         if G.order % prime or any(prime % r == 0 for r in range(2, prime)):
             continue
-        S = sylow_p(G, prime)
-        real = G.as_group(S.mask)
+        S = G.sylow_mask(prime)
+        real = G.as_group(S)
         F = fusion_from_group(G, S, prime)
         table = F.classification_table()
         object_sets = (
@@ -680,10 +679,10 @@ def test_one_object_degenerate_locality():
     # a characteristic-p group with Delta = {S}: the transporter category of
     # N_G(S) on one object
     G = builtin_group("S4")
-    S = sylow_p(G, 2)
-    real = G.as_group(S.mask)
+    S = G.sylow_mask(2)
+    real = G.as_group(S)
     L = locality_from_group(G, S, frozenset([real.group.full_mask]), 2, s_real=real)
-    assert L.size == popcount(G.normalizer_mask(S.mask))
+    assert L.size == popcount(G.normalizer_mask(S))
     tc = transporter_category(L)
     assert len(tc.objects) == 1
     assert tc.aut_orders[0] == L.size

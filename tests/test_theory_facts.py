@@ -18,7 +18,6 @@ import pytest
 from fusionloc.corpus import CorpusEntry, Instance, builtin_group
 from fusionloc.fusion import fusion_isomorphic, is_constrained, subsystem_from_normal_subgroup
 from fusionloc.groups import (
-    Subgroup,
     bits,
     cores,
     group_from_permutations,
@@ -26,7 +25,6 @@ from fusionloc.groups import (
     p_part,
     popcount,
     quotient_group,
-    sylow_p,
 )
 from fusionloc.verifier import run_instance_checks
 
@@ -66,8 +64,8 @@ def _p_subgroup_reps(G, S_mask, p):
 @pytest.mark.parametrize("name,p", CASES)
 def test_theta_of_normalizer_equals_theta_of_centralizer(name, p):
     G = builtin_group(name)
-    S = sylow_p(G, p)
-    for parent in _p_subgroup_reps(G, S.mask, p):
+    S = G.sylow_mask(p)
+    for parent in _p_subgroup_reps(G, S, p):
         nreal = G.as_group(G.normalizer_mask(parent))
         creal = G.as_group(G.centralizer_mask(parent))
         theta_n = nreal.mask_to_parent(o_p_prime_mask(nreal.group, p))
@@ -81,9 +79,9 @@ def test_local_structure_descends_to_theta_quotient(name, p):
     # a p-subgroup are the images of the normalizer and centralizer
     G = builtin_group(name)
     theta = o_p_prime_mask(G, p)
-    q = quotient_group(G, Subgroup(G, theta))
-    S = sylow_p(G, p)
-    for parent in _p_subgroup_reps(G, S.mask, p):
+    q = quotient_group(G, theta)
+    S = G.sylow_mask(p)
+    for parent in _p_subgroup_reps(G, S, p):
         img = 0
         for x in bits(parent):
             img |= 1 << q.projection[x]
@@ -102,10 +100,10 @@ def test_characteristic_p_central_quotient_equivalence(name):
     # for Z central and inside O_p: G has characteristic p iff G/Z does
     G = builtin_group(name)
     rep = cores(G, 2)
-    zreal = G.as_group(G.center_mask() & rep.o_p.mask)
+    zreal = G.as_group(G.center_mask() & rep.o_p)
     for zm in zreal.group.subgroup_masks():
         Z = zreal.mask_to_parent(zm)
-        q = quotient_group(G, Subgroup(G, Z))
+        q = quotient_group(G, Z)
         assert cores(q.group, 2).is_char_p == rep.is_char_p
 
 
