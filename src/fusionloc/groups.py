@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice, product
@@ -190,6 +191,40 @@ def _flat_table(table: array | Sequence[Sequence[int]]) -> array:
     return flat
 
 
+def _entries_below(flat: array, n: int) -> bool:
+    """Whether every entry of the ``array('i')`` ``flat`` lies in 0..n-1, for
+    n <= 65536, decided at C level over its bytes: no int object per entry.
+
+    An entry is in range iff its bytes above the low two are zero (so it is
+    not negative) and its low half 256*hi + lo is below n = 256*q + r.
+    """
+    width = flat.itemsize
+    q, r = divmod(n, 256)
+    # hi_class is 0 for hi < q (in range whatever lo is), 2 for hi > q (never
+    # in range) and 1 for hi = q (in range iff lo < r, when r > 0)
+    hi_class = (bytes(q) + (b"\1" if r else b"\2") + b"\2" * 255)[:256]
+    lo_past = bytes(r) + b"\1" * (256 - r)
+    if sys.byteorder == "little":
+        lo, hi, upper = 0, 1, range(2, width)
+    else:
+        lo, hi, upper = width - 1, width - 2, range(width - 2)
+    step = width << 16  # 256 KiB of table per pass
+    with memoryview(flat) as view, view.cast("B") as raw:
+        for start in range(0, len(raw), step):
+            chunk = raw[start : start + step].tobytes()
+            count = len(chunk) // width
+            if any(chunk[k::width].count(0) != count for k in upper):
+                return False
+            his = chunk[hi::width].translate(hi_class)
+            if 2 in his:
+                return False
+            if 1 in his:
+                los = chunk[lo::width].translate(lo_past)
+                if int.from_bytes(his, "little") & int.from_bytes(los, "little"):
+                    return False
+    return True
+
+
 def draws(rng: random.Random, n: int) -> Iterator[int]:
     """The endless stream ``rng.randrange(n), rng.randrange(n), ...``, lazily.
 
@@ -232,10 +267,12 @@ class FiniteGroup:
             raise ParseError("empty multiplication table")
         if n * n != len(flat):
             raise ParseError("multiplication table is not square")
-        # read as unsigned, a negative entry is past every valid index
-        with memoryview(flat) as view, view.cast("B").cast("I") as unsigned:
-            if max(unsigned) >= n:
-                raise ParseError("multiplication table entry outside 0..n-1")
+        if len(flat) * flat.itemsize > MAX_TABLE_BYTES:
+            raise ParseError(
+                f"multiplication table over the {MAX_TABLE_BYTES // 2**20} MiB maximum"
+            )
+        if not _entries_below(flat, n):
+            raise ParseError("multiplication table entry outside 0..n-1")
         self.order = n
         self.label = label
         self._flat = flat

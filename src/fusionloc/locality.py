@@ -20,8 +20,10 @@ import random
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import and_, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     NotAnObject,
@@ -495,6 +497,12 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     at length >= 3 ("fold defined implies word in domain") is not an axiom
     of partial groups and is not checked.  The report is kept on ``L`` and
     returned by later calls.
+
+    The exhaustive sweeps of the binary domain rule and of length 3 are
+    decided per class of last letters with equal S_c, over whole product
+    rows; only when one fails is its word-by-word loop run, for the first
+    witness in word order.  Samples, seeds and witnesses are those of the
+    word-by-word loops.
     """
     if L._axioms is not None:
         return L._axioms
@@ -523,16 +531,7 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
     check("identity-laws", bad is None, f"element {bad}" if bad is not None else None)
 
     # binary domain rule, both directions; S_(a,b) is the preimage of S_b under c_a
-    bad = None
-    for a in range(n):
-        row = rows[a]
-        for b in range(n):
-            indom = pre(a, s_of[b]) in delta
-            if indom != (row[b] >= 0):
-                bad = (a, b, "missing" if indom else "extra")
-                break
-        if bad:
-            break
+    bad = None if _binary_rule_holds(L) else _first_bad_binary(L)
     check("binary-domain-rule", bad is None, str(bad))
 
     # left cancellation: ab = c implies a^-1 c = b; and a a^-1 = 1
@@ -552,36 +551,14 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
                 break
     check("cancellation", bad is None, str(bad))
 
-    # word-domain rule and associativity at length 3 (capped); pairs (w, S_w),
-    # the exhaustive words sharing S_(b,c) across a
-    triples: Iterable[tuple[tuple[int, int, int], int]]
+    # word-domain rule and associativity at length 3: exhaustive under the
+    # word budget, else sampled
     if n**3 <= WORD_CAP:
-        suffixes = [(b, c, pre(b, s_of[c])) for b in range(n) for c in range(n)]
-        triples = (((a, b, c), pre(a, m)) for a in range(n) for b, c, m in suffixes)
+        bad = None if _length3_holds(L) else _first_bad_length3(L, _all_triples(L))
     else:
         letters = draws(rng, n)
         sampled = islice(zip(letters, letters, letters), WORD_CAP // 10)
-        triples = ((w, pre(w[0], pre(w[1], s_of[w[2]]))) for w in sampled)
-    bad = None
-    for w, sw in triples:
-        if not L.s_group.is_subgroup_mask(sw):
-            bad = (w, "S_w is not a subgroup")
-            break
-        if sw not in delta:
-            continue
-        a, b, c = w
-        ab = rows[a][b]
-        bc = rows[b][c]
-        if ab < 0 or bc < 0:
-            bad = (w, "fold undefined on domain word")
-            break
-        left = rows[ab][c]
-        if left < 0 or left != rows[a][bc]:
-            bad = (w, "bracketings disagree")
-            break
-        if sw & ~s_of[left]:
-            bad = (w, "S_w not inside S of the product")
-            break
+        bad = _first_bad_length3(L, ((w, pre(w[0], pre(w[1], s_of[w[2]]))) for w in sampled))
     check("length3-domain-and-associativity", bad is None, str(bad))
 
     # length-4 sampled associativity over domain words: all five bracketings
@@ -662,6 +639,117 @@ def verify_locality(L: Locality) -> LocalityAxiomReport:
 
     L._axioms = LocalityAxiomReport(checks=tuple(checks))
     return L._axioms
+
+
+# The exhaustive word sweeps.  S_w depends on the last letter c only through
+# S_c, so a kernel decides a sweep per prefix and per class of c with equal
+# S_c, comparing whole gathered product rows at C level; a ``_first_bad_*``
+# loop walks the same words one at a time and gives the first witness.
+
+
+def _gatherer(ids: tuple[int, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``row -> tuple(row[i] for i in ids)``, at C level."""
+    if len(ids) == 1:
+        (i,) = ids
+        return lambda row: (row[i],)
+    return itemgetter(*ids)
+
+
+def _s_classes(L: Locality) -> list[tuple[int, tuple[int, ...], Callable]]:
+    """The carrier split by S_c: (S_c, the ids c with it, their gatherer)."""
+    classes: dict[int, list[int]] = {}
+    for c, m in enumerate(L._s_of):
+        classes.setdefault(m, []).append(c)
+    return [(m, tuple(ids), _gatherer(tuple(ids))) for m, ids in classes.items()]
+
+
+def _binary_rule_holds(L: Locality) -> bool:
+    """Whether ab is defined exactly when S_(a,b) is an object."""
+    rows, pre, delta = L.rows, L.preimage, L.delta
+    classes = _s_classes(L)
+    for a in range(L.size):
+        row = rows[a]
+        for m, ids, get in classes:
+            undefined = get(row).count(-1)
+            if undefined != (0 if pre(a, m) in delta else len(ids)):
+                return False
+    return True
+
+
+def _first_bad_binary(L: Locality) -> Optional[tuple]:
+    """The first (a, b, "missing" | "extra") breaking the binary domain rule."""
+    rows, s_of, pre, delta = L.rows, L._s_of, L.preimage, L.delta
+    for a in range(L.size):
+        row = rows[a]
+        for b in range(L.size):
+            indom = pre(a, s_of[b]) in delta
+            if indom != (row[b] >= 0):
+                return (a, b, "missing" if indom else "extra")
+    return None
+
+
+def _length3_holds(L: Locality) -> bool:
+    """Whether every S_w of length 3 is a subgroup and every domain word
+    (a, b, c) has ab, bc and (ab)c = a(bc) defined with S_w inside
+    S_((ab)c)."""
+    rows, s_of, pre, delta = L.rows, L._s_of, L.preimage, L.delta
+    classes = _s_classes(L)
+    is_subgroup: dict[int, bool] = {}
+    for b in range(L.size):
+        row_b = rows[b]
+        for m, _, get in classes:
+            m_b = pre(b, m)  # S_(b,c) for every c in the class
+            bcs = get(row_b)
+            read_bc = _gatherer(bcs) if -1 not in bcs else None
+            for a in range(L.size):
+                sw = pre(a, m_b)
+                ok = is_subgroup.get(sw)
+                if ok is None:
+                    ok = is_subgroup[sw] = L.s_group.is_subgroup_mask(sw)
+                if not ok:
+                    return False
+                if sw not in delta:
+                    continue
+                ab = rows[a][b]
+                if ab < 0 or read_bc is None:
+                    return False
+                lefts = get(rows[ab])
+                if -1 in lefts or lefts != read_bc(rows[a]):
+                    return False
+                if sw & ~reduce(and_, map(s_of.__getitem__, lefts)):
+                    return False
+    return True
+
+
+def _all_triples(L: Locality) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """Every (w, S_w) of length 3 in order, sharing S_(b,c) across a."""
+    n, s_of, pre = L.size, L._s_of, L.preimage
+    suffixes = [(b, c, pre(b, s_of[c])) for b in range(n) for c in range(n)]
+    return (((a, b, c), pre(a, m)) for a in range(n) for b, c, m in suffixes)
+
+
+def _first_bad_length3(
+    L: Locality, triples: Iterable[tuple[tuple[int, int, int], int]]
+) -> Optional[tuple]:
+    """The first (w, reason) of the (w, S_w) pairs ``triples`` that breaks
+    the length-3 domain rule or associativity."""
+    rows, s_of, delta = L.rows, L._s_of, L.delta
+    for w, sw in triples:
+        if not L.s_group.is_subgroup_mask(sw):
+            return (w, "S_w is not a subgroup")
+        if sw not in delta:
+            continue
+        a, b, c = w
+        ab = rows[a][b]
+        bc = rows[b][c]
+        if ab < 0 or bc < 0:
+            return (w, "fold undefined on domain word")
+        left = rows[ab][c]
+        if left < 0 or left != rows[a][bc]:
+            return (w, "bracketings disagree")
+        if sw & ~s_of[left]:
+            return (w, "S_w not inside S of the product")
+    return None
 
 
 def _try_close_total(L: Locality, start: set[int], cap: int) -> Optional[set[int]]:

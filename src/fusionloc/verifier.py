@@ -11,9 +11,10 @@ from __future__ import annotations
 import fnmatch
 import random
 from array import array
+from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .constructions import ThetaData, is_characteristic_p_type_fusion
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
@@ -46,6 +47,8 @@ from .groups import (
 from .locality import (
     Locality,
     QuotientData,
+    _gatherer,
+    _s_classes,
     is_partial_normal,
     quotient,
     verify_locality,
@@ -583,13 +586,14 @@ def _sampled_pairs(L: Locality, rng: random.Random) -> list[tuple[int, int]]:
     return sorted(rng.sample(pairs, 400) if len(pairs) > 400 else pairs)
 
 
-def _sampled_words(L: Locality, rng: random.Random) -> list[tuple[int, int, int]]:
-    """Every word of length 3 if there are at most 40,000, else 4,000 drawn from rng."""
+def _sampled_words(L: Locality, rng: random.Random) -> Iterator[tuple[int, int, int]]:
+    """Every word of length 3 in order if there are at most 40,000, else
+    4,000 drawn from rng; lazily, so the draws happen as the words are read."""
     n = L.size
     if n**3 <= 40_000:
-        return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+        return product(range(n), repeat=3)
     letters = draws(rng, n)
-    return list(islice(zip(letters, letters, letters), 4000))
+    return islice(zip(letters, letters, letters), 4000)
 
 
 def _sampling_rng(L: Locality, check_id: str) -> random.Random:
@@ -600,7 +604,7 @@ def _sampling_rng(L: Locality, check_id: str) -> random.Random:
     if check_id != "conjugation-isomorphisms":
         _sampled_pairs(L, rng)
     if check_id == "conjugation-inverse-bijection":
-        _sampled_words(L, rng)
+        deque(_sampled_words(L, rng), maxlen=0)
     return rng
 
 
@@ -620,8 +624,47 @@ def _conjugation_isomorphisms(L: Locality) -> Optional[str]:
 
 def _conjugation_word_coherence(L: Locality) -> Optional[str]:
     """Chains of conjugation maps agree with the conjugation by the product."""
+    if L.size**3 <= 40_000 and _coherence_holds(L):
+        return None
+    rng = _sampling_rng(L, "conjugation-word-coherence")
+    return _first_bad_coherence(L, _sampled_words(L, rng))
+
+
+def _coherence_holds(L: Locality) -> bool:
+    """Whether every length-3 domain word w has its product defined and
+    c_w = c_c c_b c_a on S_w, decided per (a, b) and per class of c with
+    equal S_c over gathered columns ``cols[i][f]`` = c_f(i), or -1."""
+    rows, conj_s, pre, delta = L.rows, L.conj_s, L.preimage, L.delta
+    cols = [tuple(cmap.get(i, -1) for cmap in conj_s) for i in range(L.s_group.order)]
+    for m, _, get in _s_classes(L):
+        for b in range(L.size):
+            m_b = pre(b, m)  # S_(b,c) for every c in the class
+            c_b = conj_s[b]
+            # c_c(c_b(x)) for c in the class, by x in S_(b,c)
+            chains = {x: get(cols[c_b[x]]) for x in bits(m_b)}
+            for a in range(L.size):
+                sw = pre(a, m_b)
+                if sw not in delta:
+                    continue
+                ab = rows[a][b]
+                if ab < 0:
+                    return False
+                prods = get(rows[ab])
+                if -1 in prods:
+                    return False
+                read_prod, c_a = _gatherer(prods), conj_s[a]
+                for i in bits(sw):
+                    if read_prod(cols[i]) != chains[c_a[i]]:
+                        return False
+    return True
+
+
+def _first_bad_coherence(L: Locality, words: Iterable[tuple[int, int, int]]) -> Optional[str]:
+    """The witness of the first of ``words`` whose conjugation chain differs
+    from the conjugation by its product; a domain word whose fold is
+    undefined raises ``VerificationFailed``."""
     rows = L.rows
-    for w in _sampled_words(L, _sampling_rng(L, "conjugation-word-coherence")):
+    for w in words:
         a, b, c = w
         sw = L.preimage(a, L.preimage(b, L.s_of(c)))
         if sw not in L.delta:
@@ -636,7 +679,7 @@ def _conjugation_word_coherence(L: Locality) -> Optional[str]:
             for g in w:
                 j = L.conj_s[g][j]
             if cmap.get(i) != j:
-                return str((w, L.s_group.element_label(L.s_ids[i])))
+                return str((w, L.s_group.element_label(i)))
     return None
 
 
@@ -647,15 +690,12 @@ def _conjugation_inverse_bijection(L: Locality) -> Optional[str]:
     if n > 60:
         sample_g = sorted(_sampling_rng(L, "conjugation-inverse-bijection").sample(sample_g, 60))
     for g in sample_g:
-        dom = [x for x in range(n) if L.conj_elem(x, g) is not None]
-        target = {x for x in range(n) if L.conj_elem(x, L.inv[g]) is not None}
-        images = set()
-        for x in dom:
-            y = L.conj_elem(x, g)
-            images.add(y)
-            if L.conj_elem(y, L.inv[g]) != x:
+        images = [L.conj_elem(x, g) for x in range(n)]
+        back = [L.conj_elem(x, L.inv[g]) for x in range(n)]
+        for x, y in enumerate(images):
+            if y is not None and back[y] != x:
                 return str((g, x, "not inverted"))
-        if images != target:
+        if {y for y in images if y is not None} != {x for x, y in enumerate(back) if y is not None}:
             return str((g, "image of D(g) is not D(g^-1)"))
     return None
 

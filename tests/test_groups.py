@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -24,8 +25,10 @@ from fusionloc.errors import (
     ParseError,
 )
 from fusionloc.corpus import builtin_group
+from fusionloc import groups
 from fusionloc.groups import (
     FiniteGroup,
+    _entries_below,
     bits,
     cores,
     group_from_permutations,
@@ -481,6 +484,13 @@ def test_mask_generators_rejects_non_subgroups():
         assert G.span(G.mask_generators(m)) == m
 
 
+def cyclic_table_with(n, value):
+    """The flat Cayley table of C_n with its last entry set to ``value``."""
+    flat = array("i", [(a + b) % n for a in range(n) for b in range(n)])
+    flat[-1] = value
+    return flat
+
+
 # a loop of order 5 with identity 0 and two-sided inverses that is not a group
 NON_ASSOCIATIVE = [
     [0, 1, 2, 3, 4],
@@ -507,11 +517,39 @@ NON_ASSOCIATIVE = [
         ([[0, 1], [1, 1]], "has no inverse"),
         ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "no two-sided inverse"),
         (NON_ASSOCIATIVE, "not associative"),
+        # past 256 the range check reads the high byte of the low half, and
+        # past 65535 the bytes above it
+        (cyclic_table_with(300, 300), "0..n-1"),
+        (cyclic_table_with(300, 65536 + 1), "0..n-1"),
+        (cyclic_table_with(256, 256), "0..n-1"),
     ],
 )
 def test_table_validation_rejects(table, message):
     with pytest.raises(ParseError, match=message):
         FiniteGroup(table, check="auto")
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300, 511, 512, 5040, 8192, 65535, 65536])
+def test_range_check_matches_entrywise(n):
+    rng = random.Random(n)
+    edges = [0, n - 1, n, n + 1, -1, -n, 255, 256, 65535, 65536, 65537, 2**31 - 1, -(2**31)]
+    for trial in range(100):
+        flat = array("i", (rng.randrange(n) for _ in range(rng.choice([1, 7, 300]))))
+        if trial % 2:
+            flat[rng.randrange(len(flat))] = rng.choice(edges + [256 * rng.randrange(300) + 255])
+        assert _entries_below(flat, n) == all(0 <= x < n for x in flat), (n, flat)
+    # more entries than one pass of the byte check reads, the bad one last
+    flat = array("i", range(n)) * (2**17 // n + 1)
+    assert _entries_below(flat, n)
+    flat[-1] = n
+    assert not _entries_below(flat, n)
+
+
+def test_table_over_the_byte_maximum_refused(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 8 * array("i").itemsize)
+    with pytest.raises(ParseError, match="MiB maximum"):
+        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    FiniteGroup([[0, 1], [1, 0]])
 
 
 def test_group_freed_without_cyclic_collector():

@@ -6,6 +6,7 @@ import gc
 import random
 import weakref
 from array import array
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -36,7 +37,13 @@ from fusionloc.groups import (
     translate_mask,
 )
 from fusionloc.locality import (
+    WORD_CAP,
     Locality,
+    _all_triples,
+    _binary_rule_holds,
+    _first_bad_binary,
+    _first_bad_length3,
+    _length3_holds,
     is_partial_normal,
     _validate_gamma,
     locality_from_group,
@@ -48,7 +55,7 @@ from fusionloc.locality import (
     transporter_to_json,
     verify_locality,
 )
-from fusionloc.verifier import mutate_locality, regenerate
+from fusionloc.verifier import _theta_quotient, mutate_locality, regenerate
 from test_groups import small_perm_groups
 from test_theory_facts import non_constrained_group
 
@@ -914,3 +921,116 @@ def test_object_set_gap_matches_old_loops(corpus):
             kinds.add(old and old[-1])
         assert verdicts == {True, False}, e
     assert kinds == {None, "overgroup missing", "conjugate missing"}
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive word sweeps: each S-class kernel's verdict against the scalar
+# loop that gives its witness
+
+
+def kernel_localities(corpus):
+    """Every distinct corpus locality (all, centric, Delta* and the Theta
+    quotient) and the three of PSL(2,7) at p = 2, the only ones here with
+    undefined products."""
+    found = {}
+    instances = [corpus.instance(e.name, e.prime) for e in DEFAULT_CORPUS]
+    instances.append(Instance(CorpusEntry("PSL27", 2), non_constrained_group("PSL27")))
+    for inst in instances:
+        kinds = [inst.locality(k) for k in ("all", "centric", "delta-star")]
+        for L in kinds + [_theta_quotient(inst)]:
+            if L is not None:
+                found[id(L)] = L
+    return list(found.values())
+
+
+def kernel_subjects(corpus, seeds=(0, 1, 2), count=10):
+    """(label, locality) for each kernel locality, its mutate_locality
+    mutants (a product dropped) and its retargeted copies (a product moved)."""
+    for L in kernel_localities(corpus):
+        yield L.label, L
+        for seed in seeds:
+            for desc, M in mutate_locality(L, seed=seed, count=count):
+                yield f"{L.label} seed {seed} {desc}", M
+            yield f"{L.label} retargeted {seed}", retarget(L, seed)
+
+
+def test_sweep_kernels_match_scalar_loops(corpus):
+    verdicts = Counter()
+    for label, M in kernel_subjects(corpus):
+        holds = _binary_rule_holds(M)
+        assert holds == (_first_bad_binary(M) is None), label
+        verdicts["binary", holds] += 1
+        if M.size**3 <= WORD_CAP:
+            holds = _length3_holds(M)
+            assert holds == (_first_bad_length3(M, _all_triples(M)) is None), label
+            verdicts["length3", holds] += 1
+    # 27 localities with 30 dropped and 3 moved products each; a moved
+    # product keeps the binary rule.  The sweep of length 3 runs on the 25
+    # localities with at most WORD_CAP words; on S3 at p = 2 (n = 2) one
+    # moved product breaks only cancellation
+    assert verdicts == {
+        ("binary", True): 27 * 4,
+        ("binary", False): 27 * 30,
+        ("length3", True): 25 + 1,
+        ("length3", False): 25 * 33 - 1,
+    }
+
+
+def forge_entry(L, value, holds):
+    """The first (a, b) with a, b > 0 and ``holds(a, b)``, and a copy of L
+    with ab set to ``value(a, b)``."""
+    a, b = next(
+        (a, b) for a in range(1, L.size) for b in range(1, L.size) if holds(a, b)
+    )
+    return (a, b), with_entries(L, {(a, b): value(a, b)}, label="forged")
+
+
+def failed_witness(M, check_id):
+    return {c.name: c.witness for c in verify_locality(M).failures()}.get(check_id)
+
+
+def test_forged_entries_fail_with_the_scalar_witness(corpus):
+    # PSL(2,7) at p = 2 on its centric objects: n = 40, three S-classes and
+    # 512 undefined products, so every sweep is exhaustive
+    inst = Instance(CorpusEntry("PSL27", 2), non_constrained_group("PSL27"))
+    L = inst.locality("centric")
+    assert L.size**3 <= WORD_CAP and len({L.s_of(f) for f in range(L.size)}) == 3
+    rows, pre = L.rows, L.preimage
+
+    def s_ab(a, b):
+        return pre(a, L.s_of(b))
+
+    # binary rule: a product dropped, and one set where the word is outside
+    (a, b), M = forge_entry(L, lambda a, b: -1, lambda a, b: rows[a][b] >= 0)
+    assert not _binary_rule_holds(M)
+    assert failed_witness(M, "binary-domain-rule") == str(_first_bad_binary(M))
+    assert _first_bad_binary(M) == (a, b, "missing")
+    # the first domain word through the dropped product is (0, a, b)
+    assert not _length3_holds(M)
+    expected = ((0, a, b), "fold undefined on domain word")
+    assert _first_bad_length3(M, _all_triples(M)) == expected
+    assert failed_witness(M, "length3-domain-and-associativity") == str(expected)
+
+    (a, b), M = forge_entry(L, lambda a, b: 0, lambda a, b: rows[a][b] < 0)
+    assert not _binary_rule_holds(M)
+    assert _first_bad_binary(M) == (a, b, "extra")
+    assert failed_witness(M, "binary-domain-rule") == str((a, b, "extra"))
+
+    # length 3: ab moved to z; (0, a, b) reads z on both bracketings, so it
+    # fails on S_w exactly when S_(a,b) is not inside S_z
+    def moved(inside):
+        def value(a, b):
+            return next(
+                z for z in range(L.size)
+                if z != rows[a][b] and (s_ab(a, b) & ~L.s_of(z) == 0) == inside
+            )
+        return value
+
+    for inside, kind in ((False, "S_w not inside S of the product"), (True, "bracketings disagree")):
+        (a, b), M = forge_entry(L, moved(inside), lambda a, b: rows[a][b] >= 0)
+        assert not _length3_holds(M)
+        witness = _first_bad_length3(M, _all_triples(M))
+        assert witness[1] == kind
+        if not inside:
+            assert witness == ((0, a, b), kind)
+        assert failed_witness(M, "length3-domain-and-associativity") == str(witness)

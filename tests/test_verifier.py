@@ -8,7 +8,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ import pytest
 from fusionloc import cli, constructions, fusion, groups, verifier
 from fusionloc.constructions import nontrivial, theta_quotient
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, build_instance, builtin_group
+from fusionloc.errors import VerificationFailed
 from fusionloc.fusion import (
     FusionSystem,
     abstract_fusion,
@@ -26,6 +27,7 @@ from fusionloc.fusion import (
 from fusionloc.groups import draws, p_part, popcount
 from fusionloc.locality import (
     AxiomCheck,
+    Locality,
     LocalityAxiomReport,
     locality_from_group,
     verify_locality,
@@ -48,7 +50,12 @@ from fusionloc.verifier import (
     run_instance_checks,
     run_locality_checks,
     run_theta_checks,
+    _coherence_holds,
+    _conjugation_inverse_bijection,
+    _conjugation_word_coherence,
+    _first_bad_coherence,
 )
+from test_locality import kernel_subjects
 
 
 def test_fusion_checks_pass_s4(corpus):
@@ -585,3 +592,103 @@ def test_theta_not_partial_normal_fails_its_row(monkeypatch, capsys):
     assert cli.main(args + ["--quotient-theta"]) == 2
     err = capsys.readouterr().err
     assert err == finding + "\n"
+
+
+# ---------------------------------------------------------------------------
+# conjugation-word-coherence: the S-class kernel's verdict against the scalar
+# loop that gives its witness
+
+
+def with_conj_entry(L, f, i, j):
+    """A copy of L whose c_f sends S-index i to j."""
+    conj_s = list(L.conj_s)
+    conj_s[f] = {**conj_s[f], i: j}
+    return Locality(
+        size=L.size, inv=L.inv, rows=L.rows, s_ids=L.s_ids, s_group=L.s_group,
+        delta=L.delta, p=L.p, label="forged", conj_s=tuple(conj_s),
+    )
+
+
+def wrong_conj_entries(L, seed, count):
+    """Copies of L with one c_f value moved to another index of S."""
+    rng = random.Random(seed)
+    order = L.s_group.order
+    for _ in range(count):
+        f = rng.randrange(L.size)
+        i = rng.choice(sorted(L.conj_s[f]))
+        j = rng.choice([k for k in range(order) if k != L.conj_s[f][i]] or [i])
+        yield f"c_{f}({i}) = {j}", with_conj_entry(L, f, i, j)
+
+
+def scalar_coherence(L):
+    """The scalar loop over every word of length 3: its witness, None, or
+    the fold error it raises."""
+    try:
+        return _first_bad_coherence(L, product(range(L.size), repeat=3))
+    except VerificationFailed as exc:
+        return f"raised {exc}"
+
+
+def test_coherence_kernel_matches_scalar_loop(corpus):
+    verdicts = Counter()
+    for label, M in kernel_subjects(corpus):
+        if M.size**3 > 40_000:
+            continue
+        subjects = [(label, M)]
+        if "seed" not in label:  # a product table as built: forge c_f too
+            subjects += [(f"{label} {d}", W) for d, W in wrong_conj_entries(M, 7, 4)]
+        for desc, W in subjects:
+            scalar = scalar_coherence(W)
+            holds = _coherence_holds(W)
+            assert holds == (scalar is None), desc
+            kind = "pass" if holds else "raised" if scalar.startswith("raised") else "witness"
+            verdicts[kind] += 1
+    # every kind of outcome occurred
+    assert set(verdicts) == {"pass", "witness", "raised"}, verdicts
+
+
+def test_wrong_conjugation_entry_fails_with_the_scalar_witness(corpus):
+    L = corpus.locality_all("S4", 2)
+    assert L.size**3 <= 40_000 and len({L.s_of(f) for f in range(L.size)}) == 2
+    # c_f of the first f != 1 with |S_f| > 1 sends its second index where
+    # it sends the first
+    f = next(f for f in range(1, L.size) if len(L.conj_s[f]) > 1)
+    i, j = sorted(L.conj_s[f])[1], L.conj_s[f][sorted(L.conj_s[f])[0]]
+    M = with_conj_entry(L, f, i, j)
+    witness = _first_bad_coherence(M, product(range(M.size), repeat=3))
+    assert witness is not None and not _coherence_holds(M)
+    assert _conjugation_word_coherence(M) == witness
+
+
+def old_inverse_bijection_witness(L, sample_g):
+    """conjugation-inverse-bijection as it was, conjugating each x twice."""
+    n = L.size
+    for g in sample_g:
+        dom = [x for x in range(n) if L.conj_elem(x, g) is not None]
+        target = {x for x in range(n) if L.conj_elem(x, L.inv[g]) is not None}
+        images = set()
+        for x in dom:
+            y = L.conj_elem(x, g)
+            images.add(y)
+            if L.conj_elem(y, L.inv[g]) != x:
+                return str((g, x, "not inverted"))
+        if images != target:
+            return str((g, "image of D(g) is not D(g^-1)"))
+    return None
+
+
+def test_inverse_bijection_matches_the_old_loop(corpus):
+    witnesses = set()
+    for label, M in kernel_subjects(corpus, seeds=(0,), count=5):
+        subjects = [(label, M)]
+        if "seed" not in label:
+            subjects += [(f"{label} {d}", W) for d, W in wrong_conj_entries(M, 7, 2)]
+        for desc, W in subjects:
+            sample_g = range(W.size)
+            if W.size > 60:
+                rng = verifier._sampling_rng(W, "conjugation-inverse-bijection")
+                sample_g = sorted(rng.sample(sample_g, 60))
+            old = old_inverse_bijection_witness(W, sample_g)
+            assert _conjugation_inverse_bijection(W) == old, desc
+            witnesses.add(old if old is None else old.split(", ")[-1])
+    assert len(witnesses) > 1, witnesses
