@@ -36,9 +36,10 @@ from .groups import (
     QuotientGroup,
     RealizedSubgroup,
     bits,
-    group_from_elements,
+    group_from_subset,
     o_p_mask,
     p_part,
+    perm_compose,
     popcount,
     quotient_group,
     translate_mask,
@@ -331,14 +332,15 @@ class FusionSystem:
     def aut_group(self, P: int) -> tuple[FiniteGroup, tuple]:
         got = self._aut_groups.get(P)
         if got is None:
+            # sorted, so the identity (P's elements ascending) comes first;
+            # written as permutations of P's positions, composed by perm_compose
             auts = self.auts(P)
-
-            def mul(a, b):
-                return compose_maps(self.base, a, P, b)
-
+            pos = {x: i for i, x in enumerate(self.base.mask_elements(P))}
+            perms = [tuple(pos[y] for y in a) for a in auts]
+            index = {q: i for i, q in enumerate(perms)}
+            rows = [[index.get(perm_compose(a, b), -1) for b in perms] for a in perms]
             label = f"Aut({self.base.subgroup_label(P)})"
-            grp, ordered = group_from_elements(auts, mul, label=label)
-            got = (grp, ordered)
+            got = (group_from_subset(range(len(auts)), rows.__getitem__, label), auts)
             self._aut_groups[P] = got
         return got
 

@@ -33,6 +33,7 @@ from .errors import (
     NotNormal,
     OrderBoundExceeded,
     ParseError,
+    VerificationFailed,
 )
 
 DEFAULT_ORDER_BOUND = 5040
@@ -659,7 +660,8 @@ class FiniteGroup:
         return "<" + ", ".join(self.element_label(g) for g in gens) + ">"
 
     def as_group(self, mask: int) -> "RealizedSubgroup":
-        """Realize a subgroup mask as a standalone FiniteGroup.
+        """Realize a subgroup mask as a standalone FiniteGroup: the sub-table
+        of G on its elements, through ``group_from_subset``.
 
         The whole group is realized as itself, not memoised: a memo entry
         would hold its owner, and copying the table would cost n^2.
@@ -673,26 +675,14 @@ class FiniteGroup:
         if not self.is_subgroup_mask(mask):
             raise NotASubgroup(f"mask {mask} is not a subgroup of {self.label}")
         elems = self.mask_elements(mask)  # ascending; identity 0 first
-        pos = {x: i for i, x in enumerate(elems)}
-        flat, n = self._flat, self.order
-        table = array("i")
-        for a in elems:
-            row = a * n
-            table.extend([pos[flat[row + b]] for b in elems])
-        rep = None
-        if self.perm_rep is not None:
-            degree, perms = self.perm_rep
-            rep = (degree, tuple(perms[x] for x in elems))
-        names = None
+        rep = names = None
         if self.perm_rep is None:
-            names = tuple(self.element_label(x) for x in elems)
-        sub = FiniteGroup(
-            table,
-            label=f"{self.label}|{self.subgroup_label(mask)}",
-            perm_rep=rep,
-            element_names=names,
-        )
-        got = RealizedSubgroup(mask=mask, group=sub, to_parent=elems, index_of=pos)
+            names = tuple(map(self.element_label, elems))
+        else:
+            rep = (self.perm_rep[0], tuple(self.perm_rep[1][x] for x in elems))
+        label = f"{self.label}|{self.subgroup_label(mask)}"
+        sub = group_from_subset(elems, self.row, label, names, rep)
+        got = RealizedSubgroup(mask, sub, elems, {x: i for i, x in enumerate(elems)})
         self._realized[mask] = got
         return got
 
@@ -809,38 +799,32 @@ def group_from_table(table: Sequence[Sequence[int]], label: str = "G") -> Finite
     return FiniteGroup(table, label=label, check="auto")
 
 
-def group_from_elements(
-    items: Sequence,
-    mul: Callable,
-    label: str = "G",
-    names: Optional[Callable] = None,
-) -> tuple[FiniteGroup, tuple]:
-    """Build a group from abstract elements and a total multiplication.
+def group_from_subset(
+    elems: Sequence[int],
+    row: Callable[[int], Sequence[int]],
+    label: str,
+    element_names: Optional[tuple[str, ...]] = None,
+    perm_rep: Optional[tuple[int, tuple[Perm, ...]]] = None,
+) -> FiniteGroup:
+    """The group on a closed subset of a product table.
 
-    Returns the group and the element tuple in index order (identity first,
-    the rest sorted).  The items must be hashable and sortable.
+    ``elems`` lists the subset ascending with the identity first, and
+    ``row(a)[b]`` is the product ab; element i of the group is ``elems[i]``.
+    A product that is -1 (undefined) or outside the subset raises
+    ``VerificationFailed`` naming ``label``.
     """
-    items = list(items)
-    if not items:
-        raise ParseError("no elements")
-    identity = None
-    for e in items:
-        if all(mul(e, x) == x and mul(x, e) == x for x in items):
-            identity = e
-            break
-    if identity is None:
-        raise ParseError("no identity element")
-    ordered = [identity] + sorted(x for x in items if x != identity)
-    pos = {x: i for i, x in enumerate(ordered)}
-    try:
-        table = [[pos[mul(a, b)] for b in ordered] for a in ordered]
-    except KeyError as exc:
-        raise ParseError("multiplication leaves the element set") from exc
-    element_names = (
-        tuple(names(x) for x in ordered) if names is not None else None
-    )
-    grp = FiniteGroup(table, label=label, element_names=element_names)
-    return grp, tuple(ordered)
+    pos = {x: i for i, x in enumerate(elems)}
+    table = array("i")
+    for a in elems:
+        r = row(a)
+        try:
+            table.extend([pos[r[b]] for b in elems])
+        except KeyError:
+            b = next(b for b in elems if r[b] not in pos)
+            raise VerificationFailed(
+                f"{label}: product of {a} and {b} not defined inside the subset"
+            ) from None
+    return FiniteGroup(table, label=label, perm_rep=perm_rep, element_names=element_names)
 
 
 def load_group_json(data: dict) -> FiniteGroup:
@@ -960,7 +944,7 @@ def cores(H: FiniteGroup, p: int) -> GroupPredicateReport:
     characteristic p."""
     op = o_p_mask(H, p)
     theta = o_p_prime_mask(H, p)
-    char_p = H.centralizer_mask(op) & ~op == 0
+    char_p = is_char_p_group(H, p)
     if theta == 1:
         almost = char_p
     else:

@@ -44,9 +44,9 @@ from .groups import (
     FiniteGroup,
     RealizedSubgroup,
     bits,
-    cores,
     draws,
-    group_from_elements,
+    group_from_subset,
+    is_char_p_group,
     o_p_mask,
     p_part,
     popcount,
@@ -275,37 +275,22 @@ class Locality:
         if mask not in self.delta:
             raise NotAnObject(self.s_group.subgroup_label(mask))
         got = self._norm_groups.get(mask)
-        if got is not None:
-            return got
-        ids = self.normalizer_ids(mask)
-        got = self._ids_as_group(ids, f"N_{self.label}({self.s_group.subgroup_label(mask)})")
-        self._norm_groups[mask] = got
+        if got is None:
+            ids = self.normalizer_ids(mask)
+            label = f"N_{self.label}({self.s_group.subgroup_label(mask)})"
+            names = tuple(map(self.element_label, ids))
+            got = (group_from_subset(ids, self.rows.__getitem__, label, names), ids)
+            self._norm_groups[mask] = got
         return got
 
     def centralizer_group(self, mask: int) -> tuple[FiniteGroup, tuple[int, ...]]:
+        """C_L(P) realized as a group, for P in Delta; returns (group, ids)."""
         if mask not in self.delta:
             raise NotAnObject(self.s_group.subgroup_label(mask))
         ids = self.centralizer_ids(mask)
-        return self._ids_as_group(ids, f"C_{self.label}({self.s_group.subgroup_label(mask)})")
-
-    def _ids_as_group(
-        self, ids: Sequence[int], label: str
-    ) -> tuple[FiniteGroup, tuple[int, ...]]:
-        idset = set(ids)
-
-        def mul(a: int, b: int) -> int:
-            c = self.rows[a][b]
-            if c < 0 or c not in idset:
-                raise VerificationFailed(
-                    f"{label}: product of {self.element_label(a)} and "
-                    f"{self.element_label(b)} not defined inside the subset"
-                )
-            return c
-
-        grp, ordered = group_from_elements(
-            sorted(ids), mul, label=label, names=self.element_label
-        )
-        return grp, ordered
+        label = f"C_{self.label}({self.s_group.subgroup_label(mask)})"
+        names = tuple(map(self.element_label, ids))
+        return group_from_subset(ids, self.rows.__getitem__, label, names), ids
 
     # -- fusion system ----------------------------------------------------------
 
@@ -332,7 +317,7 @@ class Locality:
     def is_objective_char_p(self) -> bool:
         if self._objective is None:
             self._objective = all(
-                cores(self.normalizer_group(P)[0], self.p).is_char_p
+                is_char_p_group(self.normalizer_group(P)[0], self.p)
                 for P in self.objects_sorted()
             )
         return self._objective
@@ -866,20 +851,11 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
                 row[ib] = vals.pop()
         rows.append(row)
 
-    sbar_ids = tuple(sorted({proj[x] for x in L.s_ids}))
-
-    def mul(a: int, b: int) -> int:
-        c = rows[a][b]
-        if c < 0:
-            raise VerificationFailed("image of S not closed in quotient")
-        return c
-
-    names = tuple(
-        "[" + L.element_label(min(c)) + "]" for c in maximal
-    )
-    s_group, ordered = group_from_elements(
-        sorted(sbar_ids), mul, label=f"S({L.label})/N", names=lambda q: names[q]
-    )
+    # ascending, and the identity's coset (id 0, the least minimum) comes first
+    ordered = tuple(sorted({proj[x] for x in L.s_ids}))
+    names = tuple("[" + L.element_label(min(c)) + "]" for c in maximal)
+    s_names = tuple(names[q] for q in ordered)
+    s_group = group_from_subset(ordered, rows.__getitem__, f"S({L.label})/N", s_names)
     # Delta-bar: images of objects
     spos = {x: i for i, x in enumerate(ordered)}
     s_index = tuple(spos[proj[x]] for x in L.s_ids)
@@ -909,7 +885,7 @@ def quotient(L: Locality, members: Iterable[int]) -> QuotientData:
         size=n,
         inv=tuple(inv),
         rows=rows,
-        s_ids=tuple(ordered),
+        s_ids=ordered,
         s_group=s_group,
         delta=frozenset(delta_bar),
         p=L.p,

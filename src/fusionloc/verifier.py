@@ -38,6 +38,7 @@ from .groups import (
     bits,
     cores,
     draws,
+    is_char_p_group,
     o_p_prime_mask,
     p_part,
     popcount,
@@ -548,7 +549,7 @@ def run_group_checks(inst: Instance) -> list[CheckResult]:
                 bad = f"central {G.subgroup_label(Z)} not inside O_p"
                 break
             q = quotient_group(G, Z)
-            if not cores(q.group, p).is_char_p:
+            if not is_char_p_group(q.group, p):
                 bad = f"quotient by {G.subgroup_label(Z)} not characteristic p"
                 break
         out.append(_passfail("central-quotient-characteristic", subject, bad is None, bad))
@@ -717,7 +718,7 @@ def _fullynorm_sylow_normalizer(L: Locality) -> Optional[str]:
     for P in L.objects_sorted():
         ns_mask = base.normalizer_mask(P)
         fully = F.is_fully_normalized(P)
-        if fully != (popcount(ns_mask) == p_part(L.normalizer_group(P)[0].order, L.p)):
+        if fully != (popcount(ns_mask) == p_part(len(L.normalizer_ids(P)), L.p)):
             return str((P, "fully-normalized mismatch with Sylow condition"))
         if not fully:
             continue
@@ -765,7 +766,7 @@ def _local_normalizer_is_model(L: Locality) -> Optional[str]:
         P
         for P in L.objects_sorted()
         if F.is_fully_normalized(P)
-        and p_part(L.normalizer_group(P)[0].order, L.p) != popcount(base.normalizer_mask(P))
+        and p_part(len(L.normalizer_ids(P)), L.p) != popcount(base.normalizer_mask(P))
     ]
     return _min_witness(base, bad)
 

@@ -13,9 +13,11 @@ from fusionloc.errors import NotASubgroup, NotCentral, NotFullyKNormalized, NotS
 from fusionloc.fusion import (
     abstract_fusion,
     centralizer_in_S_of_subsystem,
+    compose_maps,
     fusion_from_group,
     fusion_isomorphic,
     full_aut_kset,
+    identity_map,
     is_constrained,
     maps_equal_under_index_map,
     normal_ksets,
@@ -132,6 +134,24 @@ def test_aut_f_v4_in_a5(corpus):
     c = popcount(G.centralizer_mask(parent))
     assert n // c == 3
     assert len(F.auts(F.base.full_mask)) == 3
+
+
+def test_aut_group_tables_compose_the_automorphisms(corpus):
+    """Aut_F(P) has the identity map as element 0 and, at (i, j), the index
+    of auts[i] followed by auts[j], for every P of every corpus system."""
+    for e in DEFAULT_CORPUS:
+        F = corpus.instance(e.name, e.prime).fusion
+        for P in F.subgroups():
+            grp, auts = F.aut_group(P)
+            assert auts[0] == identity_map(F.base, P)
+            index = {a: i for i, a in enumerate(auts)}
+            n = len(auts)
+            assert grp.order == n
+            assert list(grp._flat) == [
+                index[compose_maps(F.base, auts[i], P, auts[j])]
+                for i in range(n)
+                for j in range(n)
+            ]
 
 
 def test_saturation_corpus(corpus):

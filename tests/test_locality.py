@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import weakref
 from array import array
 from collections import Counter
@@ -29,9 +30,9 @@ from fusionloc.fusion import (
 )
 from fusionloc.groups import (
     bits,
-    cores,
     draws,
     group_from_permutations,
+    is_char_p_group,
     perm_from_cycles,
     popcount,
     translate_mask,
@@ -462,13 +463,13 @@ def test_objective_char_p_computed_once(corpus, monkeypatch):
 
     calls = []
 
-    def counting_cores(H, p):
+    def counting_char_p(H, p):
         calls.append(H)
-        return cores(H, p)
+        return is_char_p_group(H, p)
 
     inst = corpus.instance("S4", 2)
     L = locality_from_group(inst.group, inst.sylow, inst.objects("all"), 2)
-    monkeypatch.setattr(locality, "cores", counting_cores)
+    monkeypatch.setattr(locality, "is_char_p_group", counting_char_p)
     assert L.is_objective_char_p() and L.is_objective_char_p()
     assert L.is_linking_locality()
     assert len(calls) == len(L.delta)
@@ -599,6 +600,92 @@ def test_centralizer_group(corpus):
     assert grp.order == 4  # V is self-centralizing in the ambient group
     with pytest.raises(NotAnObject):
         L.centralizer_group(1)
+
+
+def sub_table(ids, product):
+    """The Cayley table of the closed id set ``ids`` under ``product``, read
+    entry by entry: the oracle for ``group_from_subset``."""
+    pos = {x: i for i, x in enumerate(ids)}
+    return [pos[product(a, b)] for a in ids for b in ids]
+
+
+def test_local_groups_are_sub_tables_of_g(corpus):
+    """N_L(P) and C_L(P), realized from L's rows, have the Cayley tables of
+    N_G(P) and C_G(P) realized from G's, on every object of every locality
+    built from G, with the ids of one mapping onto the elements of the other."""
+    pairs = 0
+    for e in DEFAULT_CORPUS:
+        inst = corpus.instance(e.name, e.prime)
+        G = inst.group
+        for kind in ("all", "centric", "delta-star"):
+            if not inst.objects(kind):
+                continue
+            L = inst.locality(kind)
+            to_g = [L.source_ids[x] for x in L.s_ids]
+            for P in L.objects_sorted():
+                parent = translate_mask(P, to_g)
+                for (grp, ids), gmask in (
+                    (L.normalizer_group(P), G.normalizer_mask(parent)),
+                    (L.centralizer_group(P), G.centralizer_mask(parent)),
+                ):
+                    real = G.as_group(gmask)
+                    assert tuple(L.source_ids[x] for x in ids) == real.to_parent
+                    table = list(grp._flat)
+                    assert table == sub_table(ids, lambda a, b: L.rows[a][b])
+                    assert table == sub_table(real.to_parent, G.mul)
+                    assert table == list(real.group._flat)
+                    pairs += 1
+    assert pairs == 426
+
+
+def test_normalizer_group_rejects_a_product_outside_it(corpus):
+    """A product of N_L(P) redirected outside N_L(P), or made undefined, is
+    caught when N_L(P) is realized."""
+    L = corpus.locality_all("S4", 2)
+    P = next(P for P in L.objects_sorted() if len(L.normalizer_ids(P)) < L.size)
+    ids = L.normalizer_ids(P)
+    a = b = ids[1]
+    outside = min(set(range(L.size)) - set(ids))
+    for forged in (outside, -1):
+        row = array("i", L.rows[a])
+        row[b] = forged
+        M = Locality(
+            size=L.size, inv=L.inv, rows=L.rows[:a] + (row,) + L.rows[a + 1 :],
+            s_ids=L.s_ids, s_group=L.s_group, delta=L.delta, p=L.p, label=L.label,
+            conj_s=L.conj_s,
+        )
+        assert M.normalizer_ids(P) == ids
+        with pytest.raises(VerificationFailed, match=re.escape(f"N_{L.label}(")):
+            M.normalizer_group(P)
+
+
+def corpus_quotients(corpus):
+    """The quotients the corpus pass builds: Theta's, where it is nontrivial,
+    and L-all's by the partial normal subgroups induced from G."""
+    for e in DEFAULT_CORPUS:
+        inst = corpus.instance(e.name, e.prime)
+        if inst.theta.quotient_data is not None:
+            yield inst.theta.quotient_data
+        G, L = inst.group, inst.locality("all")
+        for n_mask in G.normal_subgroup_masks():
+            if n_mask in (1, G.full_mask):
+                continue
+            members = frozenset(i for i, g in enumerate(L.source_ids) if (n_mask >> g) & 1)
+            if is_partial_normal(L, members):
+                yield quotient(L, members)
+
+
+def test_quotient_s_index_is_an_epimorphism(corpus):
+    """s_index maps S onto the realized S-bar and respects products."""
+    count = 0
+    for qd in corpus_quotients(corpus):
+        S, Sbar, idx = qd.source.s_group, qd.quotient.s_group, qd.s_index
+        assert set(idx) == set(range(Sbar.order))
+        for i in range(S.order):
+            for j in range(S.order):
+                assert idx[S.mul(i, j)] == Sbar.mul(idx[i], idx[j])
+        count += 1
+    assert count == 30
 
 
 def test_restriction_to_overgroups_of_v(corpus):
