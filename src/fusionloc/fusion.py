@@ -36,10 +36,8 @@ from .groups import (
     QuotientGroup,
     RealizedSubgroup,
     bits,
-    group_from_subset,
     o_p_mask,
     p_part,
-    perm_compose,
     popcount,
     quotient_group,
     translate_mask,
@@ -60,8 +58,7 @@ def image_mask(images: Morphism) -> int:
 
 
 def restrict_map(base: FiniteGroup, dom: int, images: Morphism, sub: int) -> Morphism:
-    delems = base.mask_elements(dom)
-    return tuple(images[i] for i, x in enumerate(delems) if (sub >> x) & 1)
+    return base.restriction(dom, sub)(images)
 
 
 def compose_maps(
@@ -80,7 +77,7 @@ def invert_iso(base: FiniteGroup, dom: int, images: Morphism) -> tuple[int, Morp
 
 
 def conj_map(base: FiniteGroup, dom: int, t: int) -> Morphism:
-    return tuple(base.conj(x, t) for x in base.mask_elements(dom))
+    return base.conjugation_map(dom, t)
 
 
 def identity_map(base: FiniteGroup, dom: int) -> Morphism:
@@ -122,7 +119,8 @@ def maps_from_partials(
     """For each subgroup P of T, the restrictions to P of those partial index
     maps that send all of P into T."""
     maps: dict[int, set] = {m: set() for m in base.subgroups_of(t_mask)}
-    for partial in partials:
+    # equal partial maps give equal restrictions: read each once
+    for partial in {tuple(p.items()): p for p in partials}.values():
         dom, _ = restrict_partial(partial, t_mask)
         for P in base.subgroups_of(dom):
             maps[P].add(tuple(partial[i] for i in base.mask_elements(P)))
@@ -299,6 +297,7 @@ class FusionSystem:
         self._class_of: dict[int, FClassData] = {}
         self._saturated: Optional[bool] = None
         self._saturation_witness: Optional[str] = None
+        self._inner: Optional[bool] = None
         self._aut_groups: dict[int, tuple[FiniteGroup, tuple]] = {}
         # N^K(Q) by (Q, K); None stands for this system, which must not hold
         # itself, or only the cyclic collector could free it
@@ -330,18 +329,12 @@ class FusionSystem:
         return frozenset(conj_map(self.base, P, t) for t in self.base.mask_elements(n_mask))
 
     def aut_group(self, P: int) -> tuple[FiniteGroup, tuple]:
+        """Aut_F(P) as a group, element i being ``auts(P)[i]``; systems with
+        equal Aut_F(P) over one base share the group."""
         got = self._aut_groups.get(P)
         if got is None:
-            # sorted, so the identity (P's elements ascending) comes first;
-            # written as permutations of P's positions, composed by perm_compose
             auts = self.auts(P)
-            pos = {x: i for i, x in enumerate(self.base.mask_elements(P))}
-            perms = [tuple(pos[y] for y in a) for a in auts]
-            index = {q: i for i, q in enumerate(perms)}
-            rows = [[index.get(perm_compose(a, b), -1) for b in perms] for a in perms]
-            label = f"Aut({self.base.subgroup_label(P)})"
-            got = (group_from_subset(range(len(auts)), rows.__getitem__, label), auts)
-            self._aut_groups[P] = got
+            got = self._aut_groups[P] = (self.base.automorphism_group(P, auts), auts)
         return got
 
     # -- conjugacy classes ----------------------------------------------------
@@ -421,18 +414,19 @@ class FusionSystem:
     def _has_receptive(self, P: int) -> bool:
         base = self.base
         aut_s = set(self.inner_auts(P))
-        pelems = base.mask_elements(P)
         for Q in self.class_of(P).members:
-            qelems = base.mask_elements(Q)
+            qpos = {x: i for i, x in enumerate(base.mask_elements(Q))}
+            # c_g on Q for g in N_S(Q), as a map of Q's positions
+            moves = [
+                (g, [qpos[y] for y in base.conjugation_map(Q, g)])
+                for g in base.mask_elements(base.normalizer_mask(Q) & self.carrier)
+            ]
             for phi in self.isos(Q, P):
-                inv_of = {y: x for x, y in zip(qelems, phi)}
-                qpos = {x: i for i, x in enumerate(qelems)}
+                # the position in Q of phi^-1(y), for y in P ascending
+                back = [i for _, i in sorted(zip(phi, range(len(phi))))]
                 n_phi = 0
-                for g in base.mask_elements(base.normalizer_mask(Q) & self.carrier):
-                    tup = tuple(
-                        phi[qpos[base.conj(inv_of[y], g)]] for y in pelems
-                    )
-                    if tup in aut_s:
+                for g, move in moves:
+                    if tuple([phi[move[i]] for i in back]) in aut_s:
                         n_phi |= 1 << g
                 if _find_extension(self, n_phi, Q, phi) is None:
                     return False
@@ -660,25 +654,37 @@ class FusionSystem:
             raise NotFullyKNormalized(self.base.subgroup_label(Q))
         base = self.base
         new_carrier = self.k_normalizer_mask(Q, kset)
-        maps: dict[int, set] = {m: set() for m in base.subgroups_of(new_carrier)}
-        for A in maps:
+        # per AQ, the psi in Hom_F(AQ) with psi|_Q in K, and those of them
+        # whose image leaves N_S^K(Q): only their restrictions can leave it
+        chosen: dict[int, tuple[list[Morphism], list[Morphism]]] = {}
+        maps: dict[int, frozenset] = {}
+        for A in base.subgroups_of(new_carrier):
             AQ = base.closure_mask(A | Q)
-            for psi in self.maps_from[AQ]:
-                qimg = restrict_map(base, AQ, psi, Q)
-                if image_mask(qimg) != Q or qimg not in kset:
-                    continue
-                phi = restrict_map(base, AQ, psi, A)
+            if AQ not in chosen:
+                to_q = base.restriction(AQ, Q)
+                selected, leaving = chosen[AQ] = ([], [])
+                for psi in self.maps_from[AQ]:
+                    qimg = to_q(psi)
+                    if qimg in kset and image_mask(qimg) == Q:
+                        selected.append(psi)
+                        im = image_mask(psi)
+                        if im & new_carrier != im:
+                            leaving.append(psi)
+            selected, leaving = chosen[AQ]
+            to_a = base.restriction(AQ, A)
+            for psi in leaving:
+                phi = to_a(psi)
                 if image_mask(phi) & new_carrier != image_mask(phi):
                     raise VerificationFailed(
                         "K-normalizer morphism leaves N_S^K(Q): "
                         + morphism_label(base, A, phi)
                     )
-                maps[A].add(phi)
+            maps[A] = frozenset(map(to_a, selected))
         return _interned(
             base,
             new_carrier,
             self.p,
-            {m: frozenset(s) for m, s in maps.items()},
+            maps,
             None,
             f"N_{self.label}({base.subgroup_label(Q)})",
         )
@@ -702,7 +708,14 @@ def _find_extension(F: FusionSystem, n_phi: int, Q: int, phi: Morphism) -> Optio
 
 
 def _is_inner_system(F: FusionSystem) -> bool:
-    """Whether F equals the fusion system of its own carrier p-group."""
+    """Whether F equals the fusion system of its own carrier p-group; decided
+    once per system."""
+    if F._inner is None:
+        F._inner = _inner_direct(F)
+    return F._inner
+
+
+def _inner_direct(F: FusionSystem) -> bool:
     base = F.base
     for A in F.subgroups():
         inner = set()

@@ -316,6 +316,15 @@ class FiniteGroup:
         # O_p and O_{p'} masks by p; ints only, so no entry points back at self
         self._o_p: dict[int, int] = {}
         self._o_p_prime: dict[int, int] = {}
+        self._cores: dict[int, GroupPredicateReport] = {}
+        # morphism facts: N_G(H) and C_G(H) by mask, x -> x^t on a mask by
+        # (mask, t), and the restriction gatherers by (dom, sub)
+        self._normalizer: dict[int, int] = {}
+        self._centralizer: dict[int, int] = {}
+        self._conj_maps: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._restrictions: dict[tuple[int, int], Callable[[Sequence[int]], tuple]] = {}
+        # groups of automorphisms of a mask, by (mask, sorted automorphisms)
+        self._aut_groups: dict[tuple[int, tuple], "FiniteGroup"] = {}
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -480,8 +489,37 @@ class FiniteGroup:
             out |= 1 << self.conj(x, g)
         return out
 
+    def conjugation_map(self, mask: int, t: int) -> tuple[int, ...]:
+        """The images x^t of the members x of ``mask``, ascending by x;
+        computed once per (mask, t)."""
+        key = (mask, t)
+        got = self._conj_maps.get(key)
+        if got is None:
+            conj = self.conj
+            got = self._conj_maps[key] = tuple([conj(x, t) for x in self.mask_elements(mask)])
+        return got
+
+    def restriction(self, dom: int, sub: int) -> Callable[[Sequence[int]], tuple]:
+        """The gatherer that takes the images of the members of ``dom``
+        (ascending) to the images of those inside ``sub``: one C-level
+        ``itemgetter`` per (dom, sub), which returns a tuple at any size."""
+        key = (dom, sub)
+        got = self._restrictions.get(key)
+        if got is None:
+            at = [i for i, x in enumerate(self.mask_elements(dom)) if (sub >> x) & 1]
+            if len(at) > 1:
+                got = itemgetter(*at)
+            else:  # a slice, as itemgetter(i) would return a bare image
+                got = itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+            self._restrictions[key] = got
+        return got
+
     def normalizer_mask(self, mask: int) -> int:
-        """N_G(H) for a subgroup mask H: g with x^g in H for each generator x."""
+        """N_G(H) for a subgroup mask H: g with x^g in H for each generator x;
+        computed once per mask."""
+        got = self._normalizer.get(mask)
+        if got is not None:
+            return got
         gens = self.mask_generators(mask)
         flat, n, inv = self._flat, self.order, self._inv
         out = 0
@@ -489,10 +527,15 @@ class FiniteGroup:
             row = inv[g] * n
             if all((mask >> flat[flat[row + x] * n + g]) & 1 for x in gens):
                 out |= 1 << g
+        self._normalizer[mask] = out
         return out
 
     def centralizer_mask(self, mask: int) -> int:
-        """C_G(H) for a subgroup mask H: g commuting with each generator."""
+        """C_G(H) for a subgroup mask H: g commuting with each generator;
+        computed once per mask."""
+        got = self._centralizer.get(mask)
+        if got is not None:
+            return got
         gens = self.mask_generators(mask)
         flat, n = self._flat, self.order
         out = 0
@@ -500,6 +543,7 @@ class FiniteGroup:
             row = g * n
             if all(flat[x * n + g] == flat[row + x] for x in gens):
                 out |= 1 << g
+        self._centralizer[mask] = out
         return out
 
     def center_mask(self) -> int:
@@ -681,9 +725,33 @@ class FiniteGroup:
         else:
             rep = (self.perm_rep[0], tuple(self.perm_rep[1][x] for x in elems))
         label = f"{self.label}|{self.subgroup_label(mask)}"
-        sub = group_from_subset(elems, self.row, label, names, rep)
+        n = self.order
+        with memoryview(self._flat) as view:  # rows read in place, not copied
+            sub = group_from_subset(elems, lambda a: view[a * n : a * n + n], label, names, rep)
         got = RealizedSubgroup(mask, sub, elems, {x: i for i, x in enumerate(elems)})
         self._realized[mask] = got
+        return got
+
+    def automorphism_group(self, mask: int, auts: tuple[tuple[int, ...], ...]) -> "FiniteGroup":
+        """The group of the automorphisms ``auts`` of the subgroup ``mask``
+        under composition, element i being ``auts[i]``; built once per
+        (mask, auts).
+
+        Each automorphism is the tuple of images of the members of ``mask``
+        ascending, and ``auts`` is sorted, so the identity (the members
+        themselves) is element 0.  They are written as permutations of the
+        members' positions and composed by ``perm_compose``.
+        """
+        key = (mask, auts)
+        got = self._aut_groups.get(key)
+        if got is None:
+            pos = {x: i for i, x in enumerate(self.mask_elements(mask))}
+            perms = [tuple(pos[y] for y in a) for a in auts]
+            index = {q: i for i, q in enumerate(perms)}
+            rows = [[index.get(perm_compose(a, b), -1) for b in perms] for a in perms]
+            label = f"Aut({self.subgroup_label(mask)})"
+            got = group_from_subset(range(len(auts)), rows.__getitem__, label)
+            self._aut_groups[key] = got
         return got
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -940,8 +1008,15 @@ def is_char_p_group(H: FiniteGroup, p: int) -> bool:
 
 
 def cores(H: FiniteGroup, p: int) -> GroupPredicateReport:
-    """O_p, Theta = O_{p'} (both memoised on H), characteristic p, and almost
-    characteristic p."""
+    """O_p, Theta = O_{p'}, characteristic p, and almost characteristic p;
+    computed once per (H, p)."""
+    got = H._cores.get(p)
+    if got is None:
+        got = H._cores[p] = _cores(H, p)
+    return got
+
+
+def _cores(H: FiniteGroup, p: int) -> GroupPredicateReport:
     op = o_p_mask(H, p)
     theta = o_p_prime_mask(H, p)
     char_p = is_char_p_group(H, p)
