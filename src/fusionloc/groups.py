@@ -5,6 +5,13 @@ Every group carries a full multiplication table (orders are capped, 5040 by
 default, so table lookup is always affordable) and optionally a faithful
 permutation representation used for input, output and labelling.
 
+A table given from outside the program is checked once, where it enters:
+``group_from_table``.  The groups the program builds itself (permutation
+closures, realized subgroups, quotients, groups of automorphisms) are groups
+by construction and are not checked again, except that ``group_from_subset``
+samples the associativity of every sub-table it cuts, since its rows may be
+a locality's partial product.
+
 Subgroups are bitmasks over element indices: bit ``i`` set means element ``i``
 is a member.  The canonical order on subgroups is the mask value read as an
 integer, ascending; every deterministic tie-break in the package uses it.
@@ -242,66 +249,58 @@ def draws(rng: random.Random, n: int) -> Iterator[int]:
         yield r
 
 
+def _check_associativity(G: "FiniteGroup", exhaustive: bool) -> "FiniteGroup":
+    """G, once (ab)c = a(bc) holds on every triple, or on a seeded sample of
+    200 triples unless ``exhaustive``."""
+    n, mul = G.order, G.mul
+    if exhaustive:
+        triples: Iterable[tuple[int, ...]] = product(range(n), repeat=3)
+    else:
+        letters = draws(random.Random(0xA55), n)
+        triples = islice(zip(letters, letters, letters), min(200, n * n * n))
+    for a, b, c in triples:
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            raise ParseError(f"multiplication not associative at ({a},{b},{c})")
+    return G
+
+
 class FiniteGroup:
     """A finite group on indices 0..order-1 with a full Cayley table.
 
-    ``table`` is either a sequence of rows or the row-major ``array('i')`` of
-    all n*n entries: ``mul(a, b)`` is row a, column b.  Index 0 must be a
-    two-sided identity and every element must have a two-sided inverse.
-    Associativity is checked on a seeded sample of triples, or exhaustively
-    up to order 512 with ``check="auto"``.
+    ``table`` is the row-major ``array('i')`` of all n*n entries, each in
+    0..n-1: ``mul(a, b)`` is row a, column b.  Index 0 must be a two-sided
+    identity and every element must have a two-sided inverse, which is
+    checked as the inverses are read off; ``group_from_table`` checks the
+    rest of a table given from outside.
     """
 
     def __init__(
         self,
-        table: array | Sequence[Sequence[int]],
+        table: array,
         label: str = "G",
         perm_rep: Optional[tuple[int, tuple[Perm, ...]]] = None,
         element_names: Optional[tuple[str, ...]] = None,
-        check: str = "sampled",
     ) -> None:
-        if check not in ("sampled", "auto"):
-            raise ValueError(f"unknown check mode {check!r}")
-        flat = _flat_table(table)
-        n = isqrt(len(flat))
-        if n == 0:
-            raise ParseError("empty multiplication table")
-        if n * n != len(flat):
-            raise ParseError("multiplication table is not square")
-        if len(flat) * flat.itemsize > MAX_TABLE_BYTES:
-            raise ParseError(
-                f"multiplication table over the {MAX_TABLE_BYTES // 2**20} MiB maximum"
-            )
-        if not _entries_below(flat, n):
-            raise ParseError("multiplication table entry outside 0..n-1")
+        n = isqrt(len(table))
         self.order = n
         self.label = label
-        self._flat = flat
+        self._flat = table
         self.perm_rep = perm_rep
         self.element_names = element_names
         # identity and inverses
         ramp = array("i", range(n))
-        if flat[:n] != ramp or flat[::n] != ramp:
+        if table[:n] != ramp or table[::n] != ramp:
             raise ParseError("index 0 is not a two-sided identity")
         inv = []
         for a in range(n):
             try:
-                b = flat.index(0, a * n, a * n + n) - a * n
+                b = table.index(0, a * n, a * n + n) - a * n
             except ValueError:
                 raise ParseError(f"element {a} has no inverse") from None
-            if flat[b * n + a] != 0:
+            if table[b * n + a] != 0:
                 raise ParseError(f"element {a} has no two-sided inverse")
             inv.append(b)
         self._inv = tuple(inv)
-        if perm_rep is not None:
-            degree, perms = perm_rep
-            if len(perms) != n:
-                raise ParseError("permutation representation size mismatch")
-            for p in perms:
-                _check_bijection(p, degree)
-        self._verify_associativity(exhaustive=check == "auto" and n <= 512)
-        if perm_rep is not None:
-            self._verify_perm_rep()
         # caches
         self._mask_elems: dict[int, tuple[int, ...]] = {}
         self._closure: dict[int, int] = {}
@@ -381,33 +380,6 @@ class FiniteGroup:
             o = self.element_order(a)
             exp = exp * o // gcd(exp, o)
         return exp
-
-    # -- verification -------------------------------------------------------
-
-    def _verify_associativity(self, exhaustive: bool) -> None:
-        n = self.order
-        if exhaustive:
-            triples: Iterable[tuple[int, ...]] = product(range(n), repeat=3)
-        else:
-            letters = draws(random.Random(0xA55), n)
-            triples = islice(zip(letters, letters, letters), min(200, n * n * n))
-        for a, b, c in triples:
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ParseError(f"multiplication not associative at ({a},{b},{c})")
-
-    def _verify_perm_rep(self) -> None:
-        degree, perms = self.perm_rep
-        identity = tuple(range(degree))
-        if perms[0] != identity:
-            raise ParseError("permutation representation: index 0 not the identity")
-        if len(set(perms)) != self.order:
-            raise ParseError("permutation representation is not faithful")
-        n = self.order
-        letters = draws(random.Random(0x5EED), n)
-        pairs = product(range(n), repeat=2) if n <= 64 else islice(zip(letters, letters), 400)
-        for a, b in pairs:
-            if perm_compose(perms[a], perms[b]) != perms[self.mul(a, b)]:
-                raise ParseError("permutation representation is not a homomorphism")
 
     # -- subgroup machinery (bitmasks) --------------------------------------
 
@@ -862,9 +834,24 @@ def _cayley_table(
     return table
 
 
-def group_from_table(table: Sequence[Sequence[int]], label: str = "G") -> FiniteGroup:
-    """Build a group from an explicit table; fully verified up to order 512."""
-    return FiniteGroup(table, label=label, check="auto")
+def group_from_table(table: array | Sequence[Sequence[int]], label: str = "G") -> FiniteGroup:
+    """Build a group from a table given from outside, as rows or flat.
+
+    The one way in for such a table, so it is checked here: square, integer
+    entries in 0..n-1, within ``MAX_TABLE_BYTES``, the identity and inverses
+    (by ``FiniteGroup``), and associativity, exhaustively up to order 512.
+    """
+    flat = _flat_table(table)
+    n = isqrt(len(flat))
+    if n == 0:
+        raise ParseError("empty multiplication table")
+    if n * n != len(flat):
+        raise ParseError("multiplication table is not square")
+    if len(flat) * flat.itemsize > MAX_TABLE_BYTES:
+        raise ParseError(f"multiplication table over the {MAX_TABLE_BYTES // 2**20} MiB maximum")
+    if not _entries_below(flat, n):
+        raise ParseError("multiplication table entry outside 0..n-1")
+    return _check_associativity(FiniteGroup(flat, label=label), exhaustive=n <= 512)
 
 
 def group_from_subset(
@@ -879,7 +866,9 @@ def group_from_subset(
     ``elems`` lists the subset ascending with the identity first, and
     ``row(a)[b]`` is the product ab; element i of the group is ``elems[i]``.
     A product that is -1 (undefined) or outside the subset raises
-    ``VerificationFailed`` naming ``label``.
+    ``VerificationFailed`` naming ``label``.  The rows may be a locality's
+    partial product, whose associativity ``verify_locality`` samples on
+    large carriers, so the table is checked on a seeded sample of triples.
     """
     pos = {x: i for i, x in enumerate(elems)}
     table = array("i")
@@ -892,7 +881,8 @@ def group_from_subset(
             raise VerificationFailed(
                 f"{label}: product of {a} and {b} not defined inside the subset"
             ) from None
-    return FiniteGroup(table, label=label, perm_rep=perm_rep, element_names=element_names)
+    G = FiniteGroup(table, label=label, perm_rep=perm_rep, element_names=element_names)
+    return _check_associativity(G, exhaustive=False)
 
 
 def load_group_json(data: dict) -> FiniteGroup:
@@ -1056,12 +1046,13 @@ def quotient_group(G: FiniteGroup, n_mask: int) -> QuotientGroup:
         reps.append(members[0])
         for m in members:
             coset_of[m] = idx
-    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
+    k = len(reps)
+    table = array("i", [coset_of[G.mul(a, b)] for a in reps for b in reps])
     # well-definedness: products of arbitrary members land in the same coset
     if G.order <= 512:
         for x in range(G.order):
             for y in range(G.order):
-                if coset_of[G.mul(x, y)] != table[coset_of[x]][coset_of[y]]:
+                if coset_of[G.mul(x, y)] != table[coset_of[x] * k + coset_of[y]]:
                     raise NotNormal("quotient multiplication ill-defined")
     names = tuple("[" + G.element_label(r) + "]" for r in reps)
     Q = FiniteGroup(table, label=f"{G.label}/{G.subgroup_label(n_mask)}", element_names=names)

@@ -262,13 +262,14 @@ class Locality:
         return None
 
     def centralizer_ids(self, mask: int) -> tuple[int, ...]:
-        out = []
+        """The f with c_f the identity on the mask: a c_f that fixes each
+        member maps the mask onto itself, so they are read from
+        ``normalizer_ids``."""
         members = tuple(bits(mask))
-        for f in range(self.size):
-            cmap = self.conj_s[f]
-            if all(cmap.get(i) == i for i in members):
-                out.append(f)
-        return tuple(out)
+        conj_s = self.conj_s
+        return tuple(
+            f for f in self.normalizer_ids(mask) if all(conj_s[f][i] == i for i in members)
+        )
 
     def normalizer_group(self, mask: int) -> tuple[FiniteGroup, tuple[int, ...]]:
         """N_L(P) realized as a group, for P in Delta; returns (group, ids)."""

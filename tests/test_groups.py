@@ -11,6 +11,7 @@ import sys
 import time
 import weakref
 from array import array
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from fusionloc.errors import (
     OrderBoundExceeded,
     ParseError,
 )
-from fusionloc.corpus import builtin_group
+from fusionloc.corpus import CorpusEntry, Instance, builtin_group
 from fusionloc import groups
 from fusionloc.groups import (
     FiniteGroup,
@@ -32,6 +33,7 @@ from fusionloc.groups import (
     bits,
     cores,
     group_from_permutations,
+    group_from_subset,
     group_from_table,
     is_prime,
     load_group_json,
@@ -44,6 +46,8 @@ from fusionloc.groups import (
     popcount,
     quotient_group,
 )
+from fusionloc.verifier import run_corpus, run_instance_checks
+from test_theory_facts import non_constrained_group
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +530,7 @@ NON_ASSOCIATIVE = [
 )
 def test_table_validation_rejects(table, message):
     with pytest.raises(ParseError, match=message):
-        FiniteGroup(table, check="auto")
+        group_from_table(table)
 
 
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300, 511, 512, 5040, 8192, 65535, 65536])
@@ -548,8 +552,55 @@ def test_range_check_matches_entrywise(n):
 def test_table_over_the_byte_maximum_refused(monkeypatch):
     monkeypatch.setattr(groups, "MAX_TABLE_BYTES", 8 * array("i").itemsize)
     with pytest.raises(ParseError, match="MiB maximum"):
-        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    FiniteGroup([[0, 1], [1, 0]])
+        group_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    group_from_table([[0, 1], [1, 0]])
+
+
+def test_subset_tables_keep_the_associativity_sample():
+    with pytest.raises(ParseError, match="not associative"):
+        group_from_subset(range(5), NON_ASSOCIATIVE.__getitem__, "loop")
+
+
+def assert_is_group(G):
+    """The group axioms on G's whole table, and its permutations, if it has
+    them, as a faithful representation: the oracle for the table checks that
+    ``FiniteGroup`` does not run on the groups the program builds."""
+    n = G.order
+    rows = [tuple(G.row(a)) for a in range(n)]
+    assert all(sorted(r) == list(range(n)) for r in rows), G.label
+    assert rows[0] == tuple(range(n)) and [r[0] for r in rows] == list(range(n)), G.label
+    assert all(rows[a][G.inv(a)] == 0 == rows[G.inv(a)][a] for a in range(n)), G.label
+    # (ab)c = a(bc) for every c at once: row ab is row a read at row b
+    if n > 1:
+        at = [itemgetter(*r) for r in rows]
+        for a, ra in enumerate(rows):
+            assert all(rows[ab] == at[b](ra) for b, ab in enumerate(ra)), (G.label, a)
+    if G.perm_rep is not None:
+        perms = G.perm_rep[1]
+        index = {q: i for i, q in enumerate(perms)}
+        assert len(index) == n, G.label
+        for a, ra in zip(perms, rows):
+            assert tuple(index.get(perm_compose(a, b)) for b in perms) == ra, G.label
+
+
+def test_every_derived_group_is_a_group(monkeypatch):
+    built = []
+    init = FiniteGroup.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", recording)
+    run_corpus()
+    in_corpus = len(built)
+    psl = Instance(CorpusEntry("PSL27", 2), non_constrained_group("PSL27"))
+    run_instance_checks(psl)
+    monkeypatch.undo()
+    for G in built:
+        assert_is_group(G)
+    assert (in_corpus, len(built)) == (487, 538)
+    assert sum(G.perm_rep is not None for G in built) == 72
 
 
 def test_group_freed_without_cyclic_collector():

@@ -794,7 +794,7 @@ def test_draws_equal_randrange():
     letters = draws(fast, 56)
     assert [next(letters) for _ in range(50_000)] == [slow.randrange(56) for _ in range(50_000)]
     assert fast.getstate() == slow.getstate()
-    # the pair and triple forms of FiniteGroup's table checks draw each tuple
+    # pairs and triples (the table and word samples draw triples) are drawn
     # left to right, as a tuple of randrange calls does
     for n in (1, 2, 3, 5, 7, 8, 24, 60, 100, 120, 720, 5040):
         fast, slow = random.Random(n), random.Random(n)
@@ -913,6 +913,29 @@ def forged_localities(L, seed, count):
             size=L.size, inv=tuple(inv), rows=rows, s_ids=L.s_ids, s_group=L.s_group,
             delta=L.delta, p=L.p, conj_s=L.conj_s,
         )
+
+
+def test_centralizer_ids_match_a_scan_of_the_carrier(corpus):
+    """centralizer_ids, read from the memoised normalizer_ids, against the f
+    of the whole carrier with c_f the identity on R, for every subgroup R of
+    S in L-all, L-centric, L-Delta, L-Delta* and the Theta quotient of each
+    instance."""
+    pairs = 0
+    for e in DEFAULT_CORPUS:
+        inst = corpus.instance(e.name, e.prime)
+        kinds = ("all", "centric", "delta", "delta-star")
+        for L in [inst.locality(k) for k in kinds if inst.objects(k)] + [_theta_quotient(inst)]:
+            if L is None:
+                continue
+            for R in L.s_group.subgroup_masks():
+                members = tuple(bits(R))
+                scan = tuple(
+                    f for f in range(L.size)
+                    if all(L.conj_s[f].get(i) == i for i in members)
+                )
+                assert L.centralizer_ids(R) == scan, (L.label, R)
+                pairs += 1
+    assert pairs == 428
 
 
 def test_subgroup_gap_matches_old_loops(corpus):
