@@ -91,10 +91,11 @@ class Instance:
     )
 
     def __post_init__(self) -> None:
-        if p_part(self.group.order, self.prime) == 1:
-            raise CorpusLoadError(
-                f"{self.prime} does not divide |{self.entry.name}| = {self.group.order}"
-            )
+        # p > |G| cannot divide |G|: refused before p_part's primality test,
+        # whose trial division would run to sqrt(p)
+        n, p = self.group.order, self.prime
+        if p > n or p_part(n, p) == 1:
+            raise CorpusLoadError(f"{p} does not divide |{self.entry.name}| = {n}")
 
     @property
     def prime(self) -> int:

@@ -57,10 +57,6 @@ def image_mask(images: Morphism) -> int:
     return out
 
 
-def restrict_map(base: FiniteGroup, dom: int, images: Morphism, sub: int) -> Morphism:
-    return base.restriction(dom, sub)(images)
-
-
 def compose_maps(
     base: FiniteGroup, images1: Morphism, mid: int, images2: Morphism
 ) -> Morphism:
@@ -74,14 +70,6 @@ def invert_iso(base: FiniteGroup, dom: int, images: Morphism) -> tuple[int, Morp
     delems = base.mask_elements(dom)
     pairs = sorted(zip(images, delems))
     return image_mask(images), tuple(x for _, x in pairs)
-
-
-def conj_map(base: FiniteGroup, dom: int, t: int) -> Morphism:
-    return base.conjugation_map(dom, t)
-
-
-def identity_map(base: FiniteGroup, dom: int) -> Morphism:
-    return base.mask_elements(dom)
 
 
 def morphism_label(base: FiniteGroup, dom: int, images: Morphism) -> str:
@@ -151,7 +139,7 @@ def close_morphism_sets(
         queue.append((dom, images))
 
     for t in base.mask_elements(carrier):
-        add(carrier, conj_map(base, carrier, t))
+        add(carrier, base.conjugation_map(carrier, t))
     for dom, images in generators:
         add(dom, images)
         idom, iimages = invert_iso(base, dom, images)
@@ -161,7 +149,7 @@ def close_morphism_sets(
         dom, images = queue.popleft()
         im = image_mask(images)
         for sub in base.maximal_subgroups(dom):
-            add(sub, restrict_map(base, dom, images, sub))
+            add(sub, base.restriction(dom, sub)(images))
         for psi in list(maps_from[im]):
             add(dom, compose_maps(base, images, im, psi))
         for dom2, images2 in by_image[dom]:
@@ -325,8 +313,9 @@ class FusionSystem:
         return self.isos(P, P)
 
     def inner_auts(self, P: int) -> frozenset:
-        n_mask = self.base.normalizer_mask(P) & self.carrier
-        return frozenset(conj_map(self.base, P, t) for t in self.base.mask_elements(n_mask))
+        base = self.base
+        n_mask = base.normalizer_mask(P) & self.carrier
+        return frozenset(base.conjugation_map(P, t) for t in base.mask_elements(n_mask))
 
     def aut_group(self, P: int) -> tuple[FiniteGroup, tuple]:
         """Aut_F(P) as a group, element i being ``auts(P)[i]``; systems with
@@ -452,9 +441,9 @@ class FusionSystem:
             for phi in self.maps_from[A]:
                 found = False
                 for psi in self.maps_from[AQ]:
-                    if restrict_map(base, AQ, psi, A) != phi:
+                    if base.restriction(AQ, A)(psi) != phi:
                         continue
-                    if image_mask(restrict_map(base, AQ, psi, Q)) == Q:
+                    if image_mask(base.restriction(AQ, Q)(psi)) == Q:
                         found = True
                         break
                 if not found:
@@ -531,7 +520,7 @@ class FusionSystem:
         inn_mask = 0
         index = {t: i for i, t in enumerate(ordered)}
         for x in inner:
-            inn_mask |= 1 << index[conj_map(self.base, P, x)]
+            inn_mask |= 1 << index[self.base.conjugation_map(P, x)]
         return op == inn_mask
 
     def _is_quasicentric_class(self, data: FClassData) -> bool:
@@ -628,7 +617,7 @@ class FusionSystem:
         base = self.base
         out = 0
         for t in base.mask_elements(base.normalizer_mask(Q) & self.carrier):
-            if conj_map(base, Q, t) in K:
+            if base.conjugation_map(Q, t) in K:
                 out |= 1 << t
         return out
 
@@ -702,7 +691,7 @@ class FusionSystem:
 def _find_extension(F: FusionSystem, n_phi: int, Q: int, phi: Morphism) -> Optional[Morphism]:
     base = F.base
     for psi in F.maps_from[n_phi]:
-        if restrict_map(base, n_phi, psi, Q) == phi:
+        if base.restriction(n_phi, Q)(psi) == phi:
             return psi
     return None
 
@@ -720,7 +709,7 @@ def _inner_direct(F: FusionSystem) -> bool:
     for A in F.subgroups():
         inner = set()
         for t in base.mask_elements(F.carrier):
-            m = conj_map(base, A, t)
+            m = base.conjugation_map(A, t)
             if image_mask(m) & F.carrier == image_mask(m):
                 inner.add(m)
         if set(F.maps_from[A]) != inner:
@@ -737,7 +726,7 @@ def full_aut_kset(F: FusionSystem, Q: int) -> frozenset:
 
 
 def trivial_kset(base: FiniteGroup, Q: int) -> frozenset:
-    return frozenset({identity_map(base, Q)})
+    return frozenset({base.mask_elements(Q)})
 
 
 def normal_ksets(F: FusionSystem, Q: int) -> tuple[frozenset, ...]:
@@ -836,7 +825,7 @@ def quotient_mod_central(F: FusionSystem, Z: int) -> CentralQuotient:
             continue
         a_img = translate_mask(A, proj)
         for psi in F.maps_from[A]:
-            if image_mask(restrict_map(base, A, psi, Z)) != Z:
+            if image_mask(base.restriction(A, Z)(psi)) != Z:
                 raise VerificationFailed("central subgroup not preserved")
             induced = induced_map(base, Sq, proj, A, psi)
             if induced is None:
@@ -891,13 +880,13 @@ def _normal_subgroup_fusion(
 def subsystem_centralized_by(F: FusionSystem, E: FusionSystem, X: int) -> bool:
     """Whether every E-morphism extends to an F-morphism fixing X pointwise."""
     base = F.base
-    idx = identity_map(base, X)
+    idx = base.mask_elements(X)
     for A in E.subgroups():
         AX = base.closure_mask(A | X)
         for phi in E.maps_from[A]:
             if not any(
-                restrict_map(base, AX, psi, A) == phi
-                and restrict_map(base, AX, psi, X) == idx
+                base.restriction(AX, A)(psi) == phi
+                and base.restriction(AX, X)(psi) == idx
                 for psi in F.maps_from[AX]
             ):
                 return False

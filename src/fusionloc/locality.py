@@ -43,6 +43,7 @@ from .fusion import (
 from .groups import (
     FiniteGroup,
     RealizedSubgroup,
+    _check_associativity,
     bits,
     draws,
     group_from_subset,
@@ -277,10 +278,7 @@ class Locality:
             raise NotAnObject(self.s_group.subgroup_label(mask))
         got = self._norm_groups.get(mask)
         if got is None:
-            ids = self.normalizer_ids(mask)
-            label = f"N_{self.label}({self.s_group.subgroup_label(mask)})"
-            names = tuple(map(self.element_label, ids))
-            got = (group_from_subset(ids, self.rows.__getitem__, label, names), ids)
+            got = self._cut_group("N", mask, self.normalizer_ids(mask))
             self._norm_groups[mask] = got
         return got
 
@@ -288,10 +286,20 @@ class Locality:
         """C_L(P) realized as a group, for P in Delta; returns (group, ids)."""
         if mask not in self.delta:
             raise NotAnObject(self.s_group.subgroup_label(mask))
-        ids = self.centralizer_ids(mask)
-        label = f"C_{self.label}({self.s_group.subgroup_label(mask)})"
+        return self._cut_group("C", mask, self.centralizer_ids(mask))
+
+    def _cut_group(
+        self, kind: str, mask: int, ids: tuple[int, ...]
+    ) -> tuple[FiniteGroup, tuple[int, ...]]:
+        """The group on ``ids``, closed under L's partial product; returns
+        (group, ids).  ``verify_locality`` checks length-3 associativity
+        exhaustively only while |L|^3 <= ``WORD_CAP``, so the cut table is
+        checked on a seeded sample of triples here, where L's rows enter a
+        group."""
+        label = f"{kind}_{self.label}({self.s_group.subgroup_label(mask)})"
         names = tuple(map(self.element_label, ids))
-        return group_from_subset(ids, self.rows.__getitem__, label, names), ids
+        group = group_from_subset(ids, self.rows.__getitem__, label, names)
+        return _check_associativity(group, exhaustive=False), ids
 
     # -- fusion system ----------------------------------------------------------
 

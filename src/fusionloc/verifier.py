@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .constructions import ThetaData, is_characteristic_p_type_fusion
 from .corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
-from .errors import NotPartialNormal, VerificationFailed
+from .errors import NotFullyKNormalized, NotPartialNormal, VerificationFailed
 from .fusion import (
     FusionSystem,
     _interned,
@@ -31,7 +31,6 @@ from .fusion import (
     maps_from_partials,
     normal_ksets,
     quotient_mod_central,
-    restrict_map,
 )
 from .groups import (
     FiniteGroup,
@@ -153,7 +152,7 @@ def fusion_wellformed_witness(F: FusionSystem) -> Optional[str]:
             if sub & F.carrier != sub:
                 continue
             for m in F.maps_from[P]:
-                if restrict_map(base, P, m, sub) not in F.maps_from[sub]:
+                if base.restriction(P, sub)(m) not in F.maps_from[sub]:
                     return f"restriction escapes from {base.subgroup_label(P)}"
         # composition and inversion closure
         for m in F.maps_from[P]:
@@ -171,7 +170,8 @@ def fusion_wellformed_witness(F: FusionSystem) -> Optional[str]:
         inner = tuple(base.conj(x, t) for x in base.mask_elements(F.carrier))
         if inner not in F.maps_from[F.carrier]:
             return "inner conjugation missing on the carrier"
-    regen = regenerate(F)
+    # F built again from the inputs it was first built from, where recorded
+    regen = F.rebuild() if F.rebuild is not None else None
     if regen is not None and regen.maps_from != F.maps_from:
         diff = [
             P
@@ -180,11 +180,6 @@ def fusion_wellformed_witness(F: FusionSystem) -> Optional[str]:
         ]
         return "regeneration mismatch at " + _min_witness(base, diff)
     return None
-
-
-def regenerate(F: FusionSystem) -> Optional[FusionSystem]:
-    """F built again from the inputs it was first built from; None if unrecorded."""
-    return None if F.rebuild is None else F.rebuild()
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +274,10 @@ def run_fusion_checks(F: FusionSystem, subject: str) -> list[CheckResult]:
     bad_restrict = []
     for Q in subgroups:
         for kset in normal_ksets(F, Q):
-            if not F.is_fully_k_normalized(Q, kset):
+            try:
+                NK = F.local_subsystem(Q, kset)
+            except NotFullyKNormalized:
                 continue
-            NK = F.local_subsystem(Q, kset)
             if not NK.is_saturated():
                 bad_join.append(Q)
                 continue

@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from argparse import ArgumentParser
 
@@ -267,6 +268,22 @@ def test_prime_not_dividing_the_order_is_an_input_error(capsys, tmp_path):
         assert err == "error: 5 does not divide |S3| = 6\n", (args, err)
     with pytest.raises(CorpusLoadError, match="5 does not divide"):
         Instance(CorpusEntry("A4", 5), builtin_group("A4"))
+
+
+def test_prime_above_the_order_is_refused_at_once():
+    # p > |G| cannot divide |G|, so it is refused before the primality test,
+    # whose trial division would run up to sqrt(p), about 10^9 steps here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    prime = "1000000000000000003"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionloc", "classify", "--builtin", "S3", "--prime", prime],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == cli.EXIT_INPUT and proc.stdout == ""
+    assert proc.stderr == f"error: {prime} does not divide |S3| = 6\n"
 
 
 def test_build_deterministic(capsys, tmp_path):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import random
 import resource
+import struct
 import subprocess
 import sys
 import time
@@ -25,15 +27,14 @@ from fusionloc.errors import (
     OrderBoundExceeded,
     ParseError,
 )
-from fusionloc.corpus import CorpusEntry, Instance, builtin_group
-from fusionloc import groups
+from fusionloc.corpus import BUILTINS, CorpusEntry, Instance, builtin_group
+from fusionloc import cli, groups
 from fusionloc.groups import (
     FiniteGroup,
     _entries_below,
     bits,
     cores,
     group_from_permutations,
-    group_from_subset,
     group_from_table,
     is_prime,
     load_group_json,
@@ -556,11 +557,6 @@ def test_table_over_the_byte_maximum_refused(monkeypatch):
     group_from_table([[0, 1], [1, 0]])
 
 
-def test_subset_tables_keep_the_associativity_sample():
-    with pytest.raises(ParseError, match="not associative"):
-        group_from_subset(range(5), NON_ASSOCIATIVE.__getitem__, "loop")
-
-
 def assert_is_group(G):
     """The group axioms on G's whole table, and its permutations, if it has
     them, as a faithful representation: the oracle for the table checks that
@@ -583,15 +579,56 @@ def assert_is_group(G):
             assert tuple(index.get(perm_compose(a, b)) for b in perms) == ra, G.label
 
 
+def rebind(monkeypatch, name, wrap):
+    """Rebind ``name`` to ``wrap(original)`` in every fusionloc module that
+    imports it, so that calls through each module's own binding are seen."""
+    original = getattr(groups, name)
+    wrapped = wrap(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "fusionloc" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapped)
+
+
+def callers_of_associativity_check(monkeypatch):
+    """The list of the functions that reach ``_check_associativity`` from
+    now on, by name."""
+    callers = []
+
+    def wrap(check):
+        def recording(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return check(*args, **kwargs)
+
+        return recording
+
+    rebind(monkeypatch, "_check_associativity", wrap)
+    return callers
+
+
 def test_every_derived_group_is_a_group(monkeypatch):
+    """Every group of one corpus run and one PSL(2,7) run is a group, every
+    quotient's projection is a homomorphism (over all pairs, with no order
+    cap: ``quotient_group`` does not test this itself), and associativity is
+    sampled only where a locality cuts a group from its own product."""
     built = []
+    quotients = []
     init = FiniteGroup.__init__
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
+    def recording_quotients(quotient):
+        def record(G, n_mask):
+            got = quotient(G, n_mask)
+            quotients.append((G, got))
+            return got
+
+        return record
+
     monkeypatch.setattr(FiniteGroup, "__init__", recording)
+    rebind(monkeypatch, "quotient_group", recording_quotients)
+    sampled = callers_of_associativity_check(monkeypatch)
     run_corpus()
     in_corpus = len(built)
     psl = Instance(CorpusEntry("PSL27", 2), non_constrained_group("PSL27"))
@@ -601,6 +638,28 @@ def test_every_derived_group_is_a_group(monkeypatch):
         assert_is_group(G)
     assert (in_corpus, len(built)) == (487, 538)
     assert sum(G.perm_rep is not None for G in built) == 72
+    for G, q in quotients:
+        proj, mul = q.projection, q.group.mul
+        for x in range(G.order):
+            px = proj[x]
+            assert [proj[xy] for xy in G.row(x)] == [mul(px, py) for py in proj], q.group.label
+    assert len(quotients) == 24
+    assert sampled and set(sampled) == {"_cut_group"}
+
+
+def test_classify_samples_no_associativity(monkeypatch, capsys):
+    """``classify`` cuts groups only from G and from groups of
+    automorphisms, which are groups by construction: it never samples."""
+    sampled = callers_of_associativity_check(monkeypatch)
+    runs = 0
+    for name in BUILTINS:
+        order = builtin_group(name).order
+        for p in filter(is_prime, range(2, order + 1)):
+            if order % p == 0:
+                assert cli.main(["classify", "--builtin", name, "--prime", str(p)]) == 0
+                runs += 1
+    capsys.readouterr()
+    assert runs == 24 and sampled == []
 
 
 def test_group_freed_without_cyclic_collector():
@@ -635,18 +694,42 @@ def test_order_bound_maximum(monkeypatch, tmp_path):
     s8.write_text(
         '{"name": "S8", "degree": 8, "generators": [[[1, 2, 3, 4, 5, 6, 7, 8]], [[1, 2]]]}'
     )
+    start = time.perf_counter()
+    proc = classify_in_address_space(s8, 2**30, FUSIONLOC_ORDER_BOUND="40320")
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error:") and "FUSIONLOC_ORDER_BOUND" in proc.stderr
+    assert time.perf_counter() - start < 30
+
+
+def classify_in_address_space(path, limit, **env):
+    """``fusionloc classify --file path --prime 2`` in a subprocess whose
+    address space is capped at ``limit`` bytes."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fusionloc.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, FUSIONLOC_ORDER_BOUND="40320")
-    limit = 2**30
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "fusionloc", "classify", "--file", str(s8), "--prime", "2"],
-        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    return subprocess.run(
+        [sys.executable, "-m", "fusionloc", "classify", "--file", str(path), "--prime", "2"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, **env),
+        timeout=60, preexec_fn=cap_memory,
     )
+
+
+def test_degree_budget_counts_a_pointer_per_point(monkeypatch, tmp_path):
+    """The closure holds each permutation as a tuple of one pointer per
+    point, so the degree is budgeted at that size: at the default bound a
+    13,000-cycle exits 3 before any enumeration, in a 512-MiB address space
+    where enumerating it runs out of memory."""
+    monkeypatch.delenv("FUSIONLOC_ORDER_BOUND", raising=False)
+    cap = groups.MAX_TABLE_BYTES // (groups.DEFAULT_ORDER_BOUND * struct.calcsize("P"))
+    assert group_from_permutations(cap, [[[1, 2]]]).order == 2
+    with pytest.raises(OrderBoundExceeded, match="table maximum"):
+        group_from_permutations(cap + 1, [[[1, 2]]])
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"degree": 13000, "generators": [[list(range(1, 13001))]]}))
+    start = time.perf_counter()
+    proc = classify_in_address_space(wide, 2**29)
     assert proc.returncode == 3, proc.stderr[-2000:]
-    assert proc.stderr.startswith("error:") and "FUSIONLOC_ORDER_BOUND" in proc.stderr
+    assert proc.stderr.startswith("error: degree 13000 times order bound 5040"), proc.stderr
     assert time.perf_counter() - start < 30

@@ -20,6 +20,7 @@ from fusionloc.errors import (
     NotClosed,
     NotInDomain,
     NotPartialNormal,
+    ParseError,
     VerificationFailed,
 )
 from fusionloc.fusion import (
@@ -32,6 +33,7 @@ from fusionloc.groups import (
     bits,
     draws,
     group_from_permutations,
+    group_from_table,
     is_char_p_group,
     perm_from_cycles,
     popcount,
@@ -56,8 +58,8 @@ from fusionloc.locality import (
     transporter_to_json,
     verify_locality,
 )
-from fusionloc.verifier import _theta_quotient, mutate_locality, regenerate
-from test_groups import small_perm_groups
+from fusionloc.verifier import _theta_quotient, mutate_locality
+from test_groups import NON_ASSOCIATIVE, small_perm_groups
 from test_theory_facts import non_constrained_group
 
 
@@ -250,7 +252,7 @@ def test_locality_freed_without_collector():
     finally:
         gc.enable()
     assert F.rebuild.func is locality_fusion
-    assert regenerate(F).maps_from == F.maps_from
+    assert F.rebuild().maps_from == F.maps_from
 
 
 def test_carrier_oracle_s4(corpus):
@@ -657,6 +659,23 @@ def test_normalizer_group_rejects_a_product_outside_it(corpus):
         assert M.normalizer_ids(P) == ids
         with pytest.raises(VerificationFailed, match=re.escape(f"N_{L.label}(")):
             M.normalizer_group(P)
+
+
+def test_local_group_cuts_keep_the_associativity_sample():
+    """N_L(P) and C_L(P) are cut from L's partial product, which
+    ``verify_locality`` checks exhaustively only on small carriers, so each
+    cut is sampled: here L is an order-5 loop over the trivial S, whose
+    rows pass every other check of the cut."""
+    loop = Locality(
+        size=5, inv=tuple(range(5)), rows=[array("i", r) for r in NON_ASSOCIATIVE],
+        s_ids=(0,), s_group=group_from_table([[0]]), delta=frozenset({1}), p=5,
+        label="loop", conj_s=tuple({0: 0} for _ in range(5)),
+    )
+    assert loop.normalizer_ids(1) == loop.centralizer_ids(1) == tuple(range(5))
+    with pytest.raises(ParseError, match="not associative"):
+        loop.normalizer_group(1)
+    with pytest.raises(ParseError, match="not associative"):
+        loop.centralizer_group(1)
 
 
 def corpus_quotients(corpus):

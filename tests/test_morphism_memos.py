@@ -9,21 +9,21 @@ group and PSL(2,7) at p = 2.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from fusionloc.corpus import DEFAULT_CORPUS, CorpusEntry, Instance, build_instance
 from fusionloc.errors import VerificationFailed
 from fusionloc.fusion import (
     FusionSystem,
-    conj_map,
     fusion_from_group,
     morphism_label,
     normal_ksets,
-    restrict_map,
     trivial_kset,
 )
 from fusionloc.groups import cores, group_from_permutations, perm_from_cycles
-from fusionloc.verifier import run_fusion_checks
+from fusionloc.verifier import FUSION_IDS, run_fusion_checks
 from test_theory_facts import non_constrained_group
 
 CASES = [(e.name, e.prime) for e in DEFAULT_CORPUS] + [("PSL27", 2)]
@@ -102,11 +102,11 @@ def test_memoised_morphism_facts_equal_their_definitions(corpus, name, prime):
             assert base.normalizer_mask(dom) == ref_normalizer(base, dom)
             assert base.centralizer_mask(dom) == ref_centralizer(base, dom)
             for t in range(base.order):
-                assert conj_map(base, dom, t) == ref_conj(base, dom, t)
+                assert base.conjugation_map(dom, t) == ref_conj(base, dom, t)
             for images in F.maps_from[dom]:
-                assert restrict_map(base, dom, images, 0) == ()
+                assert base.restriction(dom, 0)(images) == ()
                 for sub in subgroups:
-                    got = restrict_map(base, dom, images, sub)
+                    got = base.restriction(dom, sub)(images)
                     assert type(got) is tuple
                     assert got == ref_restrict(base, dom, images, sub)
     for p in (prime, 3 if prime == 2 else 2):
@@ -136,6 +136,25 @@ def test_k_normalizer_per_aq_equals_per_a_reference(monkeypatch, name, prime):
         for kset in normal_ksets(F, R):
             F.local_subsystem(R, kset).is_saturated()
     assert len(requests) >= len(F.classes())
+
+
+def test_full_k_normalization_tested_once_per_pair(monkeypatch):
+    """``run_fusion_checks`` asks ``local_subsystem`` for each (Q, K) and skips
+    the pair on ``NotFullyKNormalized``, so no system tests a pair twice."""
+    tests = Counter()
+    original = FusionSystem.is_fully_k_normalized
+
+    def counted(self, Q, K):
+        tests[self, Q, K] += 1
+        return original(self, Q, K)
+
+    monkeypatch.setattr(FusionSystem, "is_fully_k_normalized", counted)
+    inst = fresh_instance("C2xS4", 2)
+    rows = run_fusion_checks(inst.fusion, inst.instance_id)
+    assert len(tests) == 192 and max(tests.values()) == 1
+    assert [(r.check_id, r.status, r.witness) for r in rows] == [
+        (cid, "pass", None) for cid in FUSION_IDS
+    ]
 
 
 def test_forged_morphism_leaving_the_k_normalizer_raises_as_before():
